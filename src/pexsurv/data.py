@@ -124,10 +124,6 @@ class SurvivalDataset:
         )
 
     @cached_property
-    def censor_times(self) -> np.ndarray:
-        return np.array([r.censor_time for r in self.records], dtype=float)
-
-    @cached_property
     def design_matrix(self) -> np.ndarray:
         return np.array([r.covariates for r in self.records], dtype=float).reshape(
             self.n_records, len(self.covariate_names)

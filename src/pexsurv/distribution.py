@@ -239,8 +239,7 @@ class PiecewiseExponential:
 
     def cum_hazard(self, t):
         arr, scalar = _prep_times(t)
-        j = self._segment(arr)
-        out = self._cum[j] + self.rates[j] * (arr - self.cuts[j])
+        out = self._cum_hazard_raw(arr)
         return float(out) if scalar else out
 
     def survival(self, t):
@@ -271,13 +270,19 @@ class PiecewiseExponential:
 
     # -- inversion ---------------------------------------------------------
 
-    def _invert_cum_hazard(self, w):
-        """Smallest t with H(t) >= w, for w > 0 (vectorized).
+    def inverse_cum_hazard(self, w):
+        """Generalized inverse of H: the smallest t with H(t) >= w (vectorized).
 
-        Flat stretches of H are skipped; if w lands exactly on a plateau
-        value the left endpoint of the plateau is returned.
+        ``w`` is a cumulative-hazard level, w >= 0.  Flat stretches of H are
+        skipped; if w lands exactly on a plateau value the left endpoint of
+        the plateau is returned.  Unlike :meth:`quantile` this works on the
+        hazard scale, so it stays exact far past the level at which
+        ``1 - exp(-w)`` rounds to 1.  Raises :class:`UnreachableMassError`
+        for levels above the supremum of H (zero-rate tail).
         """
         w = np.asarray(w, dtype=float)
+        if not np.all(w >= 0.0):
+            raise ValueError("cumulative hazard levels must be non-negative")
         if self._pos.size == 0:
             raise UnreachableMassError("all rates are zero; the distribution has no mass")
         k = np.searchsorted(self._pos_hend, w, side="left")
@@ -293,7 +298,7 @@ class PiecewiseExponential:
         arr = np.asarray(p, dtype=float)
         if np.any(~((arr > 0.0) & (arr < 1.0))):
             raise ValueError("probabilities must lie strictly inside (0, 1)")
-        out = self._invert_cum_hazard(-np.log1p(-arr))
+        out = self.inverse_cum_hazard(-np.log1p(-arr))
         return float(out) if arr.ndim == 0 else out
 
     def median(self):
@@ -345,5 +350,5 @@ class PiecewiseExponential:
             excess = -np.log1p(-u)
         else:
             excess = -np.log1p(u * np.expm1(-span))
-        out = self._invert_cum_hazard(h_lo + excess)
+        out = self.inverse_cum_hazard(h_lo + excess)
         return float(out) if size is None else out

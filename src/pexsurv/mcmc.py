@@ -9,10 +9,10 @@ bit-identical output on every platform; one chain owns its generator and
 state exclusively.
 
 Scalar slice sampling follows the stepping-out / shrinkage scheme: the
-bracket grows by ``slice_width`` up to ``slice_max_steps`` total expansions
-(an exceeded cap simply falls back to the current bracket) and proposals
-shrink toward the current point until one lands inside the slice.  Positive
-parameters are updated on the log scale with the Jacobian included.
+bracket grows by a fixed width of 1.0 up to 50 total expansions (an exceeded
+cap simply falls back to the current bracket) and proposals shrink toward
+the current point until one lands inside the slice.  Positive parameters are
+updated on the log scale with the Jacobian included.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .models import (
     FAMILY_SIMPLE,
     ModelSpec,
     ParamState,
-    SufficientStats,
     initial_state,
     sufficient_stats,
 )
@@ -61,13 +60,14 @@ class ChainAbortError(RuntimeError):
 
 @dataclass(frozen=True)
 class McmcConfig:
-    """Chain layout, seeding and sampler tuning.
+    """Chain layout, seeding and likelihood mode.
 
     ``n_iter`` counts post-burn-in iterations; ``n_iter // thin`` draws are
-    retained.  ``rate_sampler`` selects between the exact conjugate update
-    and slice sampling for the simple family (frailty families always slice
-    their rates).  ``impute=False`` switches censored records to their
-    analytic log-survival contribution instead of data augmentation.
+    retained, so ``thin`` may not exceed ``n_iter``.  The samplers are fixed
+    per block: the simple family's rates take their exact conjugate Gamma
+    draw, and every slice update uses width 1.0 and at most 50 expansions.
+    ``impute=False`` switches censored records to their analytic
+    log-survival contribution instead of data augmentation.
     ``eval_times`` / ``quantile_probs`` add monitored columns for the
     baseline hazard, cumulative hazard and survival at fixed times and for
     baseline quantiles at fixed probabilities.
@@ -78,9 +78,6 @@ class McmcConfig:
     n_iter: int = 2000
     thin: int = 1
     seed: int = 0
-    slice_width: float = 1.0
-    slice_max_steps: int = 50
-    rate_sampler: str = "conjugate"
     impute: bool = True
     eval_times: tuple[float, ...] = ()
     quantile_probs: tuple[float, ...] = ()
@@ -88,10 +85,10 @@ class McmcConfig:
     def __post_init__(self):
         if self.n_chains < 1 or self.n_iter < 1 or self.thin < 1 or self.burn_in < 0:
             raise ValueError("chain layout values out of range")
-        if self.slice_width <= 0 or self.slice_max_steps < 1:
-            raise ValueError("slice tuning values out of range")
-        if self.rate_sampler not in ("conjugate", "slice"):
-            raise ValueError("rate_sampler must be 'conjugate' or 'slice'")
+        if self.thin > self.n_iter:
+            raise ValueError(
+                f"thin ({self.thin}) exceeds n_iter ({self.n_iter}); no draw would be retained"
+            )
 
 
 @dataclass
@@ -203,6 +200,11 @@ class _FitContext:
     def working_times(self, state):
         return state.times if self.config.impute else self.marg_times
 
+    def cum_hazard(self, state):
+        """Baseline cumulative hazard of every record at its working time."""
+        pe = PiecewiseExponential(self.grid, state.rates)
+        return pe.cum_hazard(self.working_times(state))
+
     # -- sweep pieces ------------------------------------------------------
 
     def impute(self, state, rng):
@@ -214,7 +216,7 @@ class _FitContext:
         """
         idx = self.cens_idx
         pe = PiecewiseExponential(self.grid, state.rates)
-        if not np.isinf(pe._h_sup):
+        if not state.rates[-1] > 0:
             raise UnreachableMassError(
                 "zero-rate tail: censored times cannot be imputed above their bounds"
             )
@@ -223,31 +225,16 @@ class _FitContext:
         else:
             w = np.ones(idx.size)
         u = np.maximum(rng.uniform(size=idx.size), np.nextafter(0.0, 1.0))
-        state.times[idx] = pe._invert_cum_hazard(
+        state.times[idx] = pe.inverse_cum_hazard(
             pe.cum_hazard(self.marg_times[idx]) - np.log1p(-u) / w
         )
 
-    def stats(self, state) -> SufficientStats:
-        return sufficient_stats(state, self.spec, self.data, augmented=self.config.impute)
-
-    def update_rates(self, state, rng, st: SufficientStats):
-        h, cfg = self.h, self.config
+    def update_rates(self, state, rng):
+        h = self.h
+        st = sufficient_stats(state, self.spec, self.data, augmented=self.config.impute)
         d, risk = st.d, st.exposure
         if self.spec.family == FAMILY_SIMPLE:
-            if cfg.rate_sampler == "conjugate":
-                state.rates = rng.gamma(h.gamma_shape + d, 1.0 / (h.gamma_rate + risk))
-                return
-            for j in range(self.m):
-                shape = h.gamma_shape + d[j]
-                rate = h.gamma_rate + risk[j]
-                s_new = update_scalar_slice(
-                    lambda s, shape=shape, rate=rate: shape * s - rate * math.exp(s),
-                    math.log(state.rates[j]),
-                    rng,
-                    cfg.slice_width,
-                    cfg.slice_max_steps,
-                )
-                state.rates[j] = math.exp(s_new)
+            state.rates = rng.gamma(h.gamma_shape + d, 1.0 / (h.gamma_rate + risk))
             return
 
         if self.spec.family == FAMILY_GAMMA_CHAIN:
@@ -266,10 +253,7 @@ class _FitContext:
                         v += -a * s - a * nxt * math.exp(-s)
                     return v
 
-                s_new = update_scalar_slice(
-                    logf, math.log(state.rates[j]), rng, cfg.slice_width, cfg.slice_max_steps
-                )
-                state.rates[j] = math.exp(s_new)
+                state.rates[j] = math.exp(update_scalar_slice(logf, math.log(state.rates[j]), rng))
             return
 
         # log-normal random walk: slice each xi_j on its natural scale
@@ -286,7 +270,7 @@ class _FitContext:
                     v -= (nxt - x) ** 2 / (2.0 * nu)
                 return v
 
-            xi[j] = update_scalar_slice(logf, xi[j], rng, cfg.slice_width, cfg.slice_max_steps)
+            xi[j] = update_scalar_slice(logf, xi[j], rng)
         state.rates = np.exp(xi)
 
     def update_z(self, state, rng, cumhaz):
@@ -295,7 +279,6 @@ class _FitContext:
         state.z = rng.gamma(state.eta + self.sub_counts, 1.0 / (state.eta + a_sum))
 
     def update_eta(self, state, rng):
-        cfg = self.config
         n = state.z.size
         sum_z = float(np.sum(state.z))
         sum_log_z = float(np.sum(np.log(state.z)))
@@ -314,12 +297,9 @@ class _FitContext:
                 - eta * sum_z
             )
 
-        state.eta = math.exp(
-            update_scalar_slice(logf, math.log(state.eta), rng, cfg.slice_width, cfg.slice_max_steps)
-        )
+        state.eta = math.exp(update_scalar_slice(logf, math.log(state.eta), rng))
 
     def update_beta(self, state, rng, cumhaz):
-        cfg = self.config
         z_haz = state.z[self.subj] * cumhaz
         var = self.h.beta_var
         for k in range(self.p):
@@ -331,19 +311,16 @@ class _FitContext:
                 lin = self.X @ vec
                 return float(self.dens_x @ vec - np.dot(z_haz, np.exp(lin))) - 0.5 * b * b / var
 
-            state.beta[k] = update_scalar_slice(
-                logf, state.beta[k], rng, cfg.slice_width, cfg.slice_max_steps
-            )
+            state.beta[k] = update_scalar_slice(logf, state.beta[k], rng)
 
     # -- full sweep and monitoring -----------------------------------------
 
     def sweep(self, state, rng):
         if self.config.impute and self.cens_idx.size:
             self.impute(state, rng)
-        self.update_rates(state, rng, self.stats(state))
+        self.update_rates(state, rng)
         if self.spec.is_frailty:
-            pe = PiecewiseExponential(self.grid, state.rates)
-            cumhaz = pe.cum_hazard(self.working_times(state))
+            cumhaz = self.cum_hazard(state)
             self.update_z(state, rng, cumhaz)
             self.update_eta(state, rng)
             self.update_beta(state, rng, cumhaz)
@@ -362,7 +339,7 @@ class _FitContext:
         return vals
 
 
-# -- public update operations (thin wrappers over the context paths) --------
+# -- public update operations (one sweep block each) --------------------------
 
 
 def update_rates_conjugate(state, spec, data, rng, augmented=True):
@@ -373,9 +350,7 @@ def update_rates_conjugate(state, spec, data, rng, augmented=True):
     """
     if spec.family != FAMILY_SIMPLE:
         raise ValueError("conjugate rate updates apply to the simple family only")
-    h = spec.hyper
-    st = sufficient_stats(state, spec, data, augmented=augmented)
-    state.rates = rng.gamma(h.gamma_shape + st.d, 1.0 / (h.gamma_rate + st.exposure))
+    _FitContext(spec, data, McmcConfig(impute=augmented)).update_rates(state, rng)
 
 
 def update_frailties(state, spec, data, rng, augmented=True):
@@ -386,19 +361,13 @@ def update_frailties(state, spec, data, rng, augmented=True):
     """
     if not spec.is_frailty:
         raise ValueError("frailty updates apply to frailty families only")
-    times = state.times if augmented else data.marginal_times
-    pe = PiecewiseExponential(spec.grid, state.rates)
-    a_rec = np.exp(data.design_matrix @ state.beta) * pe.cum_hazard(times)
-    n_sub = max(data.n_subjects, 1)
-    a_sum = np.bincount(data.subject_positions, weights=a_rec, minlength=n_sub)
-    dens = np.ones(data.n_records) if augmented else data.event_flags.astype(float)
-    counts = np.bincount(data.subject_positions, weights=dens, minlength=n_sub)
-    state.z = rng.gamma(state.eta + counts, 1.0 / (state.eta + a_sum))
+    ctx = _FitContext(spec, data, McmcConfig(impute=augmented))
+    ctx.update_z(state, rng, ctx.cum_hazard(state))
 
 
 def impute_censored(state, spec, data, rng):
     """Redraw every censored record's time above its censoring bound."""
-    ctx = _FitContext(spec, data, McmcConfig())
+    ctx = _FitContext(spec, data, McmcConfig(impute=True))
     if ctx.cens_idx.size:
         ctx.impute(state, rng)
 

@@ -130,10 +130,6 @@ class ParamState:
         """Frailty variance, 1 / eta."""
         return 1.0 / self.eta
 
-    @property
-    def log_rates(self) -> np.ndarray:
-        return np.log(self.rates)
-
     def copy(self) -> "ParamState":
         return ParamState(
             rates=self.rates.copy(),
@@ -167,7 +163,7 @@ def initial_state(spec: ModelSpec, data: SurvivalDataset) -> ParamState:
     if cens.size:
         # truncated median: S(t) = S(t_cen) / 2, i.e. H(t) = H(t_cen) + ln 2
         pe = PiecewiseExponential(spec.grid, rates)
-        times[cens] = pe._invert_cum_hazard(pe.cum_hazard(times[cens]) + math.log(2.0))
+        times[cens] = pe.inverse_cum_hazard(pe.cum_hazard(times[cens]) + math.log(2.0))
     return ParamState(rates=rates, beta=beta, z=z, eta=1.0, times=times)
 
 

@@ -232,12 +232,28 @@ def test_quantile_skips_flat_plateau():
     assert pe.quantile(p_at_plateau) == pytest.approx(1.0, rel=1e-12)
     w = 1.5
     assert pe.quantile(1.0 - np.exp(-w)) == pytest.approx(2.5, rel=1e-12)
+    # on the hazard scale the plateau level maps to its left endpoint exactly
+    assert pe.inverse_cum_hazard(1.0) == 1.0
+    np.testing.assert_allclose(pe.inverse_cum_hazard([1.0, 1.5, 2.0]), [1.0, 2.5, 3.0])
 
 
 def test_quantile_unreachable_mass_in_zero_rate_tail():
     pe = PiecewiseExponential([0.0, 1.0], [1.0, 0.0])
     with pytest.raises(UnreachableMassError):
         pe.quantile(0.9)  # w = 2.3 > sup H = 1
+    assert pe.inverse_cum_hazard(1.0) == 1.0  # the saturation level itself is reached
+    with pytest.raises(UnreachableMassError):
+        pe.inverse_cum_hazard(1.0 + 1e-9)
+    with pytest.raises(UnreachableMassError):
+        pe.inverse_cum_hazard([0.5, 50.0])
+
+
+def test_inverse_cum_hazard_rejects_negative_levels():
+    pe = PiecewiseExponential([0.0, 1.0], [1.0, 2.0])
+    assert pe.inverse_cum_hazard(0.0) == 0.0
+    for bad in (-1e-12, [0.5, -1.0], np.nan):
+        with pytest.raises(ValueError):
+            pe.inverse_cum_hazard(bad)
 
 
 def _random_case(rng):
@@ -261,6 +277,11 @@ def test_round_trip_identities(pe):
         assert d.quantile(d.cdf(t)) == pytest.approx(t, rel=1e-9)
         p = rng.uniform(0.001, 0.999)
         assert d.cdf(d.quantile(p)) == pytest.approx(p, rel=1e-9, abs=1e-12)
+        assert d.inverse_cum_hazard(d.cum_hazard(t)) == pytest.approx(t, rel=1e-9)
+        # far in the tail: cdf(t) rounds to 1, the hazard scale still inverts
+        t_far = float(d.cuts[-1]) + rng.uniform(50.0, 1e4) / float(d.rates[-1])
+        assert d.cdf(t_far) == 1.0
+        assert d.inverse_cum_hazard(d.cum_hazard(t_far)) == pytest.approx(t_far, rel=1e-9)
 
 
 # -- sampling -----------------------------------------------------------------
