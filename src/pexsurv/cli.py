@@ -32,13 +32,7 @@ import numpy as np
 from . import __version__
 from .data import DataFormatError, load_kidney, read_dataset_csv
 from .data import SurvivalDataset, SurvivalRecord
-from .diagnostics import (
-    effective_sample_size,
-    format_summary_table,
-    hpd_interval,
-    summarize,
-    write_summary_csv,
-)
+from .diagnostics import format_summary_table, summarize, write_summary_csv
 from .distribution import InvalidParamsError, PiecewiseExponential, TimeGrid
 from .mcmc import McmcConfig, run_chains
 from .models import (
@@ -215,24 +209,21 @@ def _cmd_simulate(args) -> int:
         start = time.perf_counter()
         chains = run_chains(spec, data, config)
         timings[f"rep_{rep}"] = time.perf_counter() - start
-        for j, truth in enumerate(true_rates, start=1):
-            name = f"lambda[{j}]"
-            pooled = np.concatenate([c.draws[name] for c in chains])
-            low, high = hpd_interval(pooled, 0.95)
+        for s, truth in zip(summarize(chains, mass=0.95), true_rates):
             rows.append(
                 {
                     "rep": rep,
                     "scenario": args.scenario,
                     "n": args.n,
-                    "parameter": name,
+                    "parameter": s.name,
                     "true": truth,
-                    "mean": float(pooled.mean()),
-                    "median": float(np.median(pooled)),
-                    "sd": float(pooled.std(ddof=1)),
-                    "hpd_low": low,
-                    "hpd_high": high,
-                    "ess": effective_sample_size(chains[0].draws[name]),
-                    "covered": int(low <= truth <= high),
+                    "mean": s.mean,
+                    "median": s.median,
+                    "sd": s.sd,
+                    "hpd_low": s.hpd_low,
+                    "hpd_high": s.hpd_high,
+                    "ess": s.ess,
+                    "covered": int(s.hpd_low <= truth <= s.hpd_high),
                 }
             )
     rows.sort(key=lambda r: (r["rep"], r["parameter"]))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
@@ -61,13 +62,16 @@ class SurvivalRecord:
                 raise ValueError("censored records need a finite positive censor_time")
         if self.censor_time < 0:
             raise ValueError("censor_time cannot be negative")
+        if not all(map(math.isfinite, self.covariates)):
+            raise ValueError(f"covariates must be finite, got {self.covariates!r}")
 
 
 class SurvivalDataset:
     """Immutable collection of :class:`SurvivalRecord` with named covariates.
 
-    Subject ids must form a contiguous integer range (any starting value);
-    covariate arity must match ``covariate_names`` on every record.  Array
+    Subject ids must form a contiguous integer range (any starting value),
+    each ``(subject_id, replicate_id)`` pair may occur once, and covariate
+    arity must match ``covariate_names`` on every record.  Array
     views used by the model and sampler layers are cached lazily.
     """
 
@@ -85,6 +89,21 @@ class SurvivalDataset:
             raise DataFormatError("subject ids must form a contiguous integer range")
         self._id_base = ids[0] if ids else 0
         self._n_subjects = len(ids)
+        try:
+            replicate = np.array([r.replicate_id for r in self.records], dtype=np.int64)
+        except OverflowError:
+            raise DataFormatError("replicate ids must fit in 64 bits") from None
+        # stable sort by (subject, replicate): a repeated pair is adjacent and
+        # its second member is the later record
+        subject = self.subject_positions
+        order = np.lexsort((replicate, subject))
+        same = (np.diff(subject[order]) == 0) & (np.diff(replicate[order]) == 0)
+        if same.any():
+            i = int(order[np.argmax(same) + 1])
+            r = self.records[i]
+            raise DataFormatError(
+                f"record {i} repeats subject {r.subject_id}, replicate {r.replicate_id}"
+            )
 
     def __len__(self):
         return len(self.records)

@@ -68,9 +68,6 @@ class McmcConfig:
     draw, and every slice update uses width 1.0 and at most 50 expansions.
     ``impute=False`` switches censored records to their analytic
     log-survival contribution instead of data augmentation.
-    ``eval_times`` / ``quantile_probs`` add monitored columns for the
-    baseline hazard, cumulative hazard and survival at fixed times and for
-    baseline quantiles at fixed probabilities.
     """
 
     n_chains: int = 2
@@ -79,8 +76,6 @@ class McmcConfig:
     thin: int = 1
     seed: int = 0
     impute: bool = True
-    eval_times: tuple[float, ...] = ()
-    quantile_probs: tuple[float, ...] = ()
 
     def __post_init__(self):
         if self.n_chains < 1 or self.n_iter < 1 or self.thin < 1 or self.burn_in < 0:
@@ -163,12 +158,15 @@ def update_scalar_slice(log_density, x0, rng, width=1.0, max_steps=50):
 
 
 class _FitContext:
-    """Precomputed data views shared by every sweep of one fit."""
+    """Precomputed data views shared by every sweep of one fit.
 
-    def __init__(self, spec: ModelSpec, data: SurvivalDataset, config: McmcConfig):
+    ``augmented`` is the likelihood mode (``McmcConfig.impute``).
+    """
+
+    def __init__(self, spec: ModelSpec, data: SurvivalDataset, augmented: bool):
         self.spec = spec
         self.data = data
-        self.config = config
+        self.augmented = augmented
         self.grid = spec.grid
         self.m = spec.grid.m
         self.h = spec.hyper
@@ -181,24 +179,16 @@ class _FitContext:
         self.marg_times = data.marginal_times
         # Density indicator per record: with augmentation every working time
         # is scored as an event; otherwise only true events are.
-        dens = np.ones(data.n_records) if config.impute else self.events.astype(float)
-        self.dens = dens
+        dens = np.ones(data.n_records) if augmented else self.events.astype(float)
         self.sub_counts = np.bincount(self.subj, weights=dens, minlength=self.n_sub)
         self.dens_x = dens @ self.X if self.p else np.zeros(0)
-        self.monitor_names = self._monitor_names()
-
-    def _monitor_names(self):
-        names = [f"lambda[{j}]" for j in range(1, self.m + 1)]
-        if self.spec.is_frailty:
-            names += [f"beta_{n}" for n in self.data.covariate_names]
-            names += ["eta", "kappa"]
-        for t in self.config.eval_times:
-            names += [f"h[{t:g}]", f"H[{t:g}]", f"S[{t:g}]"]
-        names += [f"q[{p:g}]" for p in self.config.quantile_probs]
-        return names
+        self.monitor_names = [f"lambda[{j}]" for j in range(1, self.m + 1)]
+        if spec.is_frailty:
+            self.monitor_names += [f"beta_{n}" for n in data.covariate_names]
+            self.monitor_names += ["eta", "kappa"]
 
     def working_times(self, state):
-        return state.times if self.config.impute else self.marg_times
+        return state.times if self.augmented else self.marg_times
 
     def cum_hazard(self, state):
         """Baseline cumulative hazard of every record at its working time."""
@@ -231,7 +221,7 @@ class _FitContext:
 
     def update_rates(self, state, rng):
         h = self.h
-        st = sufficient_stats(state, self.spec, self.data, augmented=self.config.impute)
+        st = sufficient_stats(state, self.spec, self.data, augmented=self.augmented)
         d, risk = st.d, st.exposure
         if self.spec.family == FAMILY_SIMPLE:
             state.rates = rng.gamma(h.gamma_shape + d, 1.0 / (h.gamma_rate + risk))
@@ -316,7 +306,7 @@ class _FitContext:
     # -- full sweep and monitoring -----------------------------------------
 
     def sweep(self, state, rng):
-        if self.config.impute and self.cens_idx.size:
+        if self.augmented and self.cens_idx.size:
             self.impute(state, rng)
         self.update_rates(state, rng)
         if self.spec.is_frailty:
@@ -330,12 +320,6 @@ class _FitContext:
         if self.spec.is_frailty:
             vals += list(state.beta)
             vals += [state.eta, state.kappa]
-        if self.config.eval_times or self.config.quantile_probs:
-            pe = PiecewiseExponential(self.grid, state.rates)
-            for t in self.config.eval_times:
-                vals += [pe.hazard(t), pe.cum_hazard(t), pe.survival(t)]
-            for p in self.config.quantile_probs:
-                vals.append(pe.quantile(p))
         return vals
 
 
@@ -350,7 +334,7 @@ def update_rates_conjugate(state, spec, data, rng, augmented=True):
     """
     if spec.family != FAMILY_SIMPLE:
         raise ValueError("conjugate rate updates apply to the simple family only")
-    _FitContext(spec, data, McmcConfig(impute=augmented)).update_rates(state, rng)
+    _FitContext(spec, data, augmented).update_rates(state, rng)
 
 
 def update_frailties(state, spec, data, rng, augmented=True):
@@ -361,13 +345,13 @@ def update_frailties(state, spec, data, rng, augmented=True):
     """
     if not spec.is_frailty:
         raise ValueError("frailty updates apply to frailty families only")
-    ctx = _FitContext(spec, data, McmcConfig(impute=augmented))
+    ctx = _FitContext(spec, data, augmented)
     ctx.update_z(state, rng, ctx.cum_hazard(state))
 
 
 def impute_censored(state, spec, data, rng):
     """Redraw every censored record's time above its censoring bound."""
-    ctx = _FitContext(spec, data, McmcConfig(impute=True))
+    ctx = _FitContext(spec, data, augmented=True)
     if ctx.cens_idx.size:
         ctx.impute(state, rng)
 
@@ -391,7 +375,7 @@ def run_chain(
 
     Any update failure aborts the chain with the iteration index attached.
     """
-    ctx = _FitContext(spec, data, config)
+    ctx = _FitContext(spec, data, config.impute)
     rng = chain_rng(config.seed, chain_id)
     state = init.copy() if init is not None else initial_state(spec, data)
     kept = config.n_iter // config.thin

@@ -88,8 +88,9 @@ class HyperParams:
 
     def __post_init__(self):
         for name in ("gamma_shape", "gamma_rate", "alpha", "nu", "phi1", "phi2", "beta_var"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"hyperparameter {name} must be strictly positive")
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"hyperparameter {name} must be finite and strictly positive")
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,28 @@ def test_dataset_requires_contiguous_subjects():
         SurvivalDataset(recs)
 
 
+def test_dataset_rejects_repeated_subject_replicate_pair():
+    with pytest.raises(DataFormatError, match="record 2 repeats subject 1, replicate 1"):
+        SurvivalDataset(
+            [SurvivalRecord(1, 1, 2.0, 1), SurvivalRecord(1, 2, 3.0, 1), SurvivalRecord(1, 1, 4.0, 1)]
+        )
+    with pytest.raises(DataFormatError, match="repeats"):
+        SurvivalDataset([SurvivalRecord(1, 1, 2.0, 1)] * 2)
+    assert len({(r.subject_id, r.replicate_id) for r in load_kidney().records}) == 76
+    with pytest.raises(DataFormatError, match="64 bits"):
+        SurvivalDataset([SurvivalRecord(1, 2**70, 2.0, 1)])
+
+
+def test_non_finite_covariate_rejected_with_csv_line(tmp_path):
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="covariates must be finite"):
+            SurvivalRecord(1, 1, 2.0, 1, covariates=(1.0, bad))
+    path = tmp_path / "bad.csv"
+    path.write_text("subject,replicate,time,status,age\n1,1,5.0,1,40\n2,1,3.0,0,nan\n")
+    with pytest.raises(DataFormatError, match=":3:.*covariates must be finite"):
+        read_dataset_csv(path)
+
+
 def test_dataset_covariate_arity_checked():
     recs = [SurvivalRecord(1, 1, 1.0, 1, covariates=(1.0,))]
     with pytest.raises(DataFormatError):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -18,8 +20,11 @@ from pexsurv.mcmc import (
 )
 from pexsurv.models import (
     FAMILY_GAMMA_CHAIN,
+    FAMILY_LOGNORMAL_RW,
     FAMILY_SIMPLE,
+    HyperParams,
     ModelSpec,
+    ParamState,
     initial_state,
     joint_log_density,
     sufficient_stats,
@@ -312,21 +317,18 @@ def test_thin_above_n_iter_is_rejected_up_front():
 
 
 def test_monitored_quantities_present():
-    data = _partially_censored_dataset(S1, 40, 9)
-    spec = ModelSpec(FAMILY_GAMMA_CHAIN, GRID4)
-    cfg = McmcConfig(
-        n_chains=1, burn_in=20, n_iter=50, seed=2,
-        eval_times=(3.483,), quantile_probs=(0.5,),
+    base = _partially_censored_dataset(S1, 40, 9)
+    data = SurvivalDataset(
+        [replace(r, covariates=(float(r.subject_id % 2),)) for r in base.records], ("x",)
     )
+    spec = ModelSpec(FAMILY_GAMMA_CHAIN, GRID4)
+    cfg = McmcConfig(n_chains=1, burn_in=20, n_iter=50, seed=2)
     store = run_chain(spec, data, cfg)
-    expected = {"lambda[1]", "lambda[4]", "eta", "kappa", "h[3.483]", "H[3.483]", "S[3.483]", "q[0.5]"}
-    assert expected <= set(store.names)
-    # derived monitors stay consistent with the rate draws
-    lam = np.array([store.draws[f"lambda[{j}]"] for j in range(1, 5)])
+    assert store.names == (
+        "lambda[1]", "lambda[2]", "lambda[3]", "lambda[4]", "beta_x", "eta", "kappa",
+    )
     k = store.draws["kappa"]
     assert np.allclose(k, 1.0 / store.draws["eta"], rtol=1e-12)
-    h = store.draws["h[3.483]"]
-    np.testing.assert_allclose(h, lam[2], rtol=1e-12)
 
 
 def test_chain_abort_carries_iteration_index():
@@ -372,3 +374,73 @@ def test_posterior_concentrates_on_true_rates():
     spec = ModelSpec(FAMILY_SIMPLE, GRID4)
     ch = run_chain(spec, data, McmcConfig(n_chains=1, burn_in=500, n_iter=1500, seed=6))
     assert abs(ch.draws["lambda[1]"].mean() - 0.3) < 0.05
+
+
+# -- joint distribution of one whole sweep (Geweke 2004, "Getting it right") --------
+
+JOINT_HYPER = HyperParams(
+    gamma_shape=3.0, gamma_rate=3.0, alpha=4.0, nu=0.25, phi1=6.0, phi2=3.0, beta_var=0.25
+)
+JOINT_GRID = TimeGrid((0.0, 0.5, 1.5))
+JOINT_SUBJECT = np.repeat(np.arange(4), 2)  # 4 subjects x 2 replicates
+JOINT_X = np.linspace(-1.0, 1.0, 8)
+JOINT_CENSOR_AT = 1.2
+JOINT_REPS = 1500
+
+
+def _prior_draw(spec, rng):
+    """(rates, beta, z, eta) drawn from the family's prior."""
+    h, m = spec.hyper, spec.grid.m
+    if spec.family == FAMILY_SIMPLE:
+        return rng.gamma(h.gamma_shape, 1.0 / h.gamma_rate, m), np.zeros(1), np.ones(4), 1.0
+    if spec.family == FAMILY_GAMMA_CHAIN:
+        rates = np.empty(m)
+        prev = 1.0
+        for j in range(m):
+            rates[j] = prev = rng.gamma(h.alpha, prev / h.alpha)
+    else:
+        rates = np.exp(np.cumsum(rng.normal(0.0, np.sqrt(h.nu), m)))
+    eta = rng.gamma(h.phi1, 1.0 / h.phi2)
+    z = rng.gamma(eta, 1.0 / eta, 4)
+    beta = rng.normal(0.0, np.sqrt(h.beta_var), 1)
+    return rates, beta, z, eta
+
+
+@pytest.mark.parametrize("impute", [True, False])
+@pytest.mark.parametrize("family", [FAMILY_SIMPLE, FAMILY_GAMMA_CHAIN, FAMILY_LOGNORMAL_RW])
+def test_one_sweep_leaves_the_joint_distribution_invariant(family, impute):
+    # theta ~ prior, data ~ theta, then one sweep from (theta, true latent
+    # times): the swept theta is again a prior draw, which a missing Jacobian
+    # or a wrong full conditional would break.
+    spec = ModelSpec(family, JOINT_GRID, JOINT_HYPER)
+    rng = np.random.default_rng(2004)
+    swept = []
+    for rep in range(JOINT_REPS):
+        rates, beta, z, eta = _prior_draw(spec, rng)
+        w = np.exp(JOINT_X * beta[0]) * z[JOINT_SUBJECT] if spec.is_frailty else np.ones(8)
+        pe = PiecewiseExponential(JOINT_GRID, rates)
+        times = pe.inverse_cum_hazard(rng.exponential(size=8) / w)
+        data = SurvivalDataset(
+            [
+                SurvivalRecord(int(s) + 1, k % 2 + 1, float(t), 1, covariates=(float(x),))
+                if t <= JOINT_CENSOR_AT
+                else SurvivalRecord(int(s) + 1, k % 2 + 1, None, 0, JOINT_CENSOR_AT, (float(x),))
+                for k, (s, t, x) in enumerate(zip(JOINT_SUBJECT, times, JOINT_X))
+            ],
+            ("x",),
+        )
+        init = ParamState(rates=rates, beta=beta, z=z, eta=eta, times=times)
+        cfg = McmcConfig(n_chains=1, burn_in=0, n_iter=1, seed=rep, impute=impute)
+        store = run_chain(spec, data, cfg, init=init)
+        swept.append({name: col[0] for name, col in store.draws.items()})
+    prior = [_prior_draw(spec, rng) for _ in range(JOINT_REPS)]
+    checks = {
+        "lambda[1]": [p[0][0] for p in prior],
+        "lambda[3]": [p[0][2] for p in prior],
+    }
+    if spec.is_frailty:
+        checks["beta_x"] = [p[1][0] for p in prior]
+        checks["eta"] = [p[3] for p in prior]
+    for name, direct in checks.items():
+        res = stats.ks_2samp([s[name] for s in swept], direct)
+        assert res.pvalue > 1e-3, (name, res.pvalue)

@@ -220,6 +220,13 @@ def test_hyperparams_validated():
         ModelSpec("weibull", GRID4)
 
 
+def test_hyperparams_reject_non_finite_values():
+    # gamma_rate = inf used to pass and freeze simple-family rates at 0.0
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="gamma_rate must be finite"):
+            HyperParams(gamma_rate=bad)
+
+
 # -- zeros-trick oracle ------------------------------------------------------------
 
 
