@@ -53,12 +53,12 @@ class SurvivalRecord:
         if self.event not in (0, 1):
             raise ValueError(f"event must be 0 or 1, got {self.event!r}")
         if self.event == 1:
-            if self.time is None or not np.isfinite(self.time) or self.time <= 0:
+            if self.time is None or not math.isfinite(self.time) or self.time <= 0:
                 raise ValueError("event records need a finite positive time")
         else:
             if self.time is not None:
                 raise ValueError("censored records must leave time unset")
-            if not np.isfinite(self.censor_time) or self.censor_time <= 0:
+            if not math.isfinite(self.censor_time) or self.censor_time <= 0:
                 raise ValueError("censored records need a finite positive censor_time")
         if self.censor_time < 0:
             raise ValueError("censor_time cannot be negative")

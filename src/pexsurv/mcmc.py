@@ -8,6 +8,10 @@ generator seeded from ``(config.seed, chain_id)``, so identical inputs give
 bit-identical output on every platform; one chain owns its generator and
 state exclusively.
 
+The simple family's sufficient statistics ``(d, R)`` depend only on the
+working times, so when no time is imputed (no censored record, or
+``impute=False``) they are computed once per chain and reused by every sweep.
+
 Scalar slice sampling follows the stepping-out / shrinkage scheme: the
 bracket grows by a fixed width of 1.0 up to 50 total expansions (an exceeded
 cap simply falls back to the current bracket) and proposals shrink toward
@@ -63,9 +67,11 @@ class McmcConfig:
     """Chain layout, seeding and likelihood mode.
 
     ``n_iter`` counts post-burn-in iterations; ``n_iter // thin`` draws are
-    retained, so ``thin`` may not exceed ``n_iter``.  The samplers are fixed
-    per block: the simple family's rates take their exact conjugate Gamma
-    draw, and every slice update uses width 1.0 and at most 50 expansions.
+    retained, so ``thin`` may not exceed ``n_iter``; ``seed`` is a
+    non-negative integer.  The samplers are fixed per block: the simple
+    family's rates take their exact conjugate Gamma draw, whose ``(d, R)`` are
+    computed once per chain when no time is imputed, and every slice update
+    uses width 1.0 and at most 50 expansions.
     ``impute=False`` switches censored records to their analytic
     log-survival contribution instead of data augmentation.
     """
@@ -84,6 +90,9 @@ class McmcConfig:
             raise ValueError(
                 f"thin ({self.thin}) exceeds n_iter ({self.n_iter}); no draw would be retained"
             )
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))  # JSON-safe in chain metadata
 
 
 @dataclass
@@ -182,6 +191,11 @@ class _FitContext:
         dens = np.ones(data.n_records) if augmented else self.events.astype(float)
         self.sub_counts = np.bincount(self.subj, weights=dens, minlength=self.n_sub)
         self.dens_x = dens @ self.X if self.p else np.zeros(0)
+        # The simple family's (d, R) depend only on the working times, which
+        # move only when censored times are imputed; otherwise the first
+        # rate update computes them and every later sweep reuses them.
+        self.fixed_stats = spec.family == FAMILY_SIMPLE and not (augmented and self.cens_idx.size)
+        self.stats = None
         self.monitor_names = [f"lambda[{j}]" for j in range(1, self.m + 1)]
         if spec.is_frailty:
             self.monitor_names += [f"beta_{n}" for n in data.covariate_names]
@@ -221,7 +235,11 @@ class _FitContext:
 
     def update_rates(self, state, rng):
         h = self.h
-        st = sufficient_stats(state, self.spec, self.data, augmented=self.augmented)
+        st = self.stats
+        if st is None:
+            st = sufficient_stats(state, self.spec, self.data, augmented=self.augmented)
+            if self.fixed_stats:
+                self.stats = st
         d, risk = st.d, st.exposure
         if self.spec.family == FAMILY_SIMPLE:
             state.rates = rng.gamma(h.gamma_shape + d, 1.0 / (h.gamma_rate + risk))

@@ -155,6 +155,14 @@ def test_fit_requires_enough_retained_draws(tmp_path, capsys):
     assert rc == 2
 
 
+def test_fit_negative_seed_is_validation_error(tmp_path, capsys):
+    rc = main(["fit", "--model", "simple", "--data", "kidney", "--m", "3",
+               "--chains", "1", "--burnin", "10", "--iters", "100", "--seed", "-1",
+               "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert "seed" in capsys.readouterr().err
+
+
 # -- simulate -------------------------------------------------------------------
 
 

@@ -12,19 +12,22 @@ from pexsurv.data import (
 
 
 def test_event_record_needs_positive_time():
-    with pytest.raises(ValueError):
-        SurvivalRecord(1, 1, None, 1)
-    with pytest.raises(ValueError):
-        SurvivalRecord(1, 1, -2.0, 1)
+    for bad in (None, -2.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="event records need a finite positive time"):
+            SurvivalRecord(1, 1, bad, 1)
+    for good in (np.float64(2.5), np.int64(3)):
+        assert SurvivalRecord(1, 1, good, 1).time == good
 
 
 def test_censored_record_needs_censor_time():
-    with pytest.raises(ValueError):
-        SurvivalRecord(1, 1, None, 0, 0.0)
+    for bad in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="censored records need a finite positive censor_time"):
+            SurvivalRecord(1, 1, None, 0, bad)
     with pytest.raises(ValueError):
         SurvivalRecord(1, 1, 3.0, 0, 5.0)  # censored rows must leave time unset
     r = SurvivalRecord(1, 1, None, 0, 5.0)
     assert r.censor_time == 5.0
+    assert SurvivalRecord(1, 1, None, 0, np.float64(5.0)).censor_time == 5.0
 
 
 def test_dataset_requires_contiguous_subjects():

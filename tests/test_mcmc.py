@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from pexsurv import mcmc
 from pexsurv.data import SurvivalDataset, SurvivalRecord, load_kidney
 from pexsurv.distribution import PiecewiseExponential, TimeGrid
 from pexsurv.diagnostics import effective_sample_size
@@ -11,6 +12,7 @@ from pexsurv.mcmc import (
     ChainAbortError,
     InvariantViolationError,
     McmcConfig,
+    chain_rng,
     impute_censored,
     run_chain,
     run_chains,
@@ -314,6 +316,66 @@ def test_thin_above_n_iter_is_rejected_up_front():
     with pytest.raises(ValueError, match="thin"):
         McmcConfig(n_iter=5, thin=6)
     McmcConfig(n_iter=5, thin=5)  # one retained draw is allowed
+
+
+def test_bad_seed_is_rejected_up_front():
+    # would construct, then fail inside numpy's SeedSequence once the chains ran
+    for bad in (-1, 1.5, "3", None):
+        with pytest.raises(ValueError, match="seed"):
+            McmcConfig(seed=bad)
+    for good in (0, 7, np.int64(7), np.uint32(7)):
+        seed = McmcConfig(seed=good).seed
+        assert seed == good and type(seed) is int  # chain metadata is written as JSON
+
+
+@pytest.mark.parametrize(
+    "data, impute",
+    [
+        (_uncensored_dataset(S1, 120, 31), True),
+        (_partially_censored_dataset(S1, 120, 32), False),
+    ],
+    ids=["uncensored-imputing", "censored-marginal"],
+)
+def test_reused_statistics_give_the_per_sweep_reference_draws(data, impute):
+    spec = ModelSpec(FAMILY_SIMPLE, GRID4)
+    cfg = McmcConfig(n_chains=1, burn_in=5, n_iter=30, seed=19, impute=impute)
+    store = run_chain(spec, data, cfg)
+
+    # reference loop: (d, R) recomputed from the state on every sweep
+    h = spec.hyper
+    rng = chain_rng(19, 1)
+    state = initial_state(spec, data)
+    ref = []
+    for _ in range(cfg.burn_in + cfg.n_iter):
+        st = sufficient_stats(state, spec, data, augmented=impute)
+        state.rates = rng.gamma(h.gamma_shape + st.d, 1.0 / (h.gamma_rate + st.exposure))
+        ref.append(state.rates)
+    got = np.column_stack([store.draws[f"lambda[{j}]"] for j in range(1, GRID4.m + 1)])
+    assert np.array_equal(got, np.array(ref[cfg.burn_in:]))
+
+
+@pytest.mark.parametrize(
+    "family, data, once_per_chain",
+    [
+        (FAMILY_SIMPLE, _uncensored_dataset(S1, 60, 33), True),
+        (FAMILY_SIMPLE, _partially_censored_dataset(S1, 60, 34), False),
+        (FAMILY_GAMMA_CHAIN, _uncensored_dataset(S1, 60, 35), False),
+    ],
+    ids=["simple-fixed-times", "simple-imputing", "gamma-chain"],
+)
+def test_sufficient_stats_calls_per_fit(monkeypatch, family, data, once_per_chain):
+    calls = []
+    real = mcmc.sufficient_stats
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mcmc, "sufficient_stats", counting)
+    cfg = McmcConfig(n_chains=2, burn_in=4, n_iter=6, seed=3)
+    run_chains(ModelSpec(family, GRID4), data, cfg)
+    sweeps = cfg.burn_in + cfg.n_iter
+    assert len(calls) == cfg.n_chains * (1 if once_per_chain else sweeps)
 
 
 def test_monitored_quantities_present():
