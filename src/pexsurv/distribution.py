@@ -24,6 +24,12 @@ Boundary conventions (fixed here once, relied on everywhere else):
   quantile function uses the generalized inverse, returning the left
   endpoint of a flat stretch of ``H`` and raising
   :class:`UnreachableMassError` for mass that ``H`` never reaches.
+
+The ladder arithmetic lives once, in the plain functions
+:func:`hazard_ladder`, :func:`cum_hazard_at` and
+:func:`inverse_cum_hazard_at`.  They trust their arrays:
+:class:`PiecewiseExponential` validates before it calls them, and the sampler
+calls them on a grid and rates that its constructors already checked.
 """
 
 from __future__ import annotations
@@ -40,6 +46,9 @@ __all__ = [
     "validate_params",
     "TimeGrid",
     "PiecewiseExponential",
+    "hazard_ladder",
+    "cum_hazard_at",
+    "inverse_cum_hazard_at",
 ]
 
 
@@ -135,6 +144,39 @@ def _prep_times(t):
     return arr, arr.ndim == 0
 
 
+def hazard_ladder(widths, rates) -> np.ndarray:
+    """H at each cut point, from ``widths = np.diff(cut_points)``."""
+    return np.concatenate(([0.0], np.cumsum(rates[:-1] * widths)))
+
+
+def cum_hazard_at(cuts, cum, rates, t):
+    """H(t) for times in the open support, given ``cum = hazard_ladder(...)``."""
+    j = np.searchsorted(cuts, t, side="left") - 1
+    return cum[j] + rates[j] * (t - cuts[j])
+
+
+def inverse_cum_hazard_at(cuts, cum, rates, w):
+    """Smallest t with H(t) >= w, for levels ``w >= 0``.
+
+    Inverts on the ladder of intervals where H actually climbs, so flat
+    stretches are skipped.  Raises :class:`UnreachableMassError` for levels
+    above the supremum of H (zero-rate tail).
+    """
+    pos = np.flatnonzero(rates > 0)
+    if pos.size == 0:
+        raise UnreachableMassError("all rates are zero; the distribution has no mass")
+    tail_climbs = rates[-1] > 0
+    hend = np.append(cum[1:], np.inf if tail_climbs else cum[-1])[pos]
+    k = np.searchsorted(hend, w, side="left")
+    if (k >= pos.size).any():
+        h_sup = np.inf if tail_climbs else float(cum[-1])
+        raise UnreachableMassError(
+            f"cumulative hazard saturates at {h_sup:g}; requested level unreachable"
+        )
+    j = pos[k]
+    return cuts[j] + (w - cum[j]) / rates[j]
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Ordered cut points ``a_1 = 0 < a_2 < ... < a_m < inf``.
@@ -210,13 +252,8 @@ class PiecewiseExponential:
         self.cuts = self.grid._cuts
         self.rates = np.array(rates, dtype=float)
         self.rates.flags.writeable = False
-        # H at each cut point: prefix sums of rate * width.
-        self._cum = np.concatenate(([0.0], np.cumsum(self.rates[:-1] * np.diff(self.cuts))))
+        self._cum = hazard_ladder(np.diff(self.cuts), self.rates)
         self._cum.flags.writeable = False
-        # Inversion ladder restricted to intervals where H actually climbs.
-        hend = np.append(self._cum[1:], np.inf if self.rates[-1] > 0 else self._cum[-1])
-        self._pos = np.flatnonzero(self.rates > 0)
-        self._pos_hend = hend[self._pos]
         self._h_sup = np.inf if self.rates[-1] > 0 else float(self._cum[-1])
 
     @property
@@ -265,8 +302,7 @@ class PiecewiseExponential:
         return float(out) if np.ndim(t) == 0 else out
 
     def _cum_hazard_raw(self, arr):
-        j = self._segment(arr)
-        return self._cum[j] + self.rates[j] * (arr - self.cuts[j])
+        return cum_hazard_at(self.cuts, self._cum, self.rates, arr)
 
     # -- inversion ---------------------------------------------------------
 
@@ -283,15 +319,7 @@ class PiecewiseExponential:
         w = np.asarray(w, dtype=float)
         if not np.all(w >= 0.0):
             raise ValueError("cumulative hazard levels must be non-negative")
-        if self._pos.size == 0:
-            raise UnreachableMassError("all rates are zero; the distribution has no mass")
-        k = np.searchsorted(self._pos_hend, w, side="left")
-        if np.any(k >= self._pos.size):
-            raise UnreachableMassError(
-                f"cumulative hazard saturates at {self._h_sup:g}; requested level unreachable"
-            )
-        j = self._pos[k]
-        return self.cuts[j] + (w - self._cum[j]) / self.rates[j]
+        return inverse_cum_hazard_at(self.cuts, self._cum, self.rates, w)
 
     def quantile(self, p):
         """Generalized inverse CDF, inf{t : F(t) >= p}, for p in (0, 1)."""

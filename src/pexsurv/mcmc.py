@@ -4,9 +4,15 @@ Each sweep updates, in this fixed order: imputed censored times, the rates
 (conjugate Gamma draws where the prior is conjugate, slice sampling
 otherwise), the frailties (conjugate), eta (slice, log scale) and the
 regression coefficients (slice).  Chains are driven by numpy's PCG64
-generator seeded from ``(config.seed, chain_id)``, so identical inputs give
-bit-identical output on every platform; one chain owns its generator and
-state exclusively.
+generator seeded from ``(config.seed, chain_id)``, so a rerun with the same
+seed on the same machine and library versions gives bit-identical output; one
+chain owns its generator and state exclusively.
+
+Inputs are validated once, by the public constructors (``TimeGrid``,
+``PiecewiseExponential``, ``SurvivalRecord``, ``ModelSpec``); the sweep then
+evaluates H and its inverse from trusted ``(cuts, cum, rates)`` arrays with
+the plain functions of :mod:`pexsurv.distribution` and builds no
+distribution object.
 
 The simple family's sufficient statistics ``(d, R)`` depend only on the
 working times, so when no time is imputed (no censored record, or
@@ -30,7 +36,12 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .data import SurvivalDataset
-from .distribution import PiecewiseExponential, UnreachableMassError
+from .distribution import (
+    UnreachableMassError,
+    cum_hazard_at,
+    hazard_ladder,
+    inverse_cum_hazard_at,
+)
 from .models import (
     FAMILY_GAMMA_CHAIN,
     FAMILY_SIMPLE,
@@ -137,16 +148,16 @@ def update_scalar_slice(log_density, x0, rng, width=1.0, max_steps=50):
     """
     x0 = float(x0)
     fx0 = log_density(x0)
-    if not np.isfinite(fx0):
+    if not math.isfinite(fx0):
         raise InvariantViolationError(
             f"slice target is not finite at the current point x={x0!r}"
         )
-    u = rng.uniform()
+    u = rng.random()
     logy = fx0 + math.log(u) if u > 0.0 else -math.inf
 
-    left = x0 - width * rng.uniform()
+    left = x0 - width * rng.random()
     right = left + width
-    grow_left = int(math.floor(max_steps * rng.uniform()))
+    grow_left = int(math.floor(max_steps * rng.random()))
     grow_right = max_steps - 1 - grow_left
     while grow_left > 0 and log_density(left) > logy:
         left -= width
@@ -156,7 +167,7 @@ def update_scalar_slice(log_density, x0, rng, width=1.0, max_steps=50):
         grow_right -= 1
 
     for _ in range(10_000):
-        x1 = left + (right - left) * rng.uniform()
+        x1 = left + (right - left) * rng.random()
         if log_density(x1) > logy:
             return x1
         if x1 < x0:
@@ -169,14 +180,18 @@ def update_scalar_slice(log_density, x0, rng, width=1.0, max_steps=50):
 class _FitContext:
     """Precomputed data views shared by every sweep of one fit.
 
-    ``augmented`` is the likelihood mode (``McmcConfig.impute``).
+    ``augmented`` is the likelihood mode (``McmcConfig.impute``).  Grid, data
+    and specification were validated by their constructors, so the sweep
+    evaluates H and H^-1 from trusted arrays: the grid's ``cuts`` and
+    ``widths``, taken once here, and the ladder of the current rates.
     """
 
     def __init__(self, spec: ModelSpec, data: SurvivalDataset, augmented: bool):
         self.spec = spec
         self.data = data
         self.augmented = augmented
-        self.grid = spec.grid
+        self.cuts = np.array(spec.grid.cut_points)
+        self.widths = np.diff(self.cuts)
         self.m = spec.grid.m
         self.h = spec.hyper
         self.X = data.design_matrix
@@ -206,8 +221,9 @@ class _FitContext:
 
     def cum_hazard(self, state):
         """Baseline cumulative hazard of every record at its working time."""
-        pe = PiecewiseExponential(self.grid, state.rates)
-        return pe.cum_hazard(self.working_times(state))
+        rates = state.rates
+        cum = hazard_ladder(self.widths, rates)
+        return cum_hazard_at(self.cuts, cum, rates, self.working_times(state))
 
     # -- sweep pieces ------------------------------------------------------
 
@@ -216,11 +232,13 @@ class _FitContext:
 
         On the record's scaled hazard scale the residual beyond the
         censoring bound is unit-exponential, so one uniform per record
-        suffices and nothing saturates however large H(t_cen) gets.
+        suffices.  A new time that is not finite (the residual overflows when
+        the record's weight underflows) aborts the sweep with an error that
+        names the record.
         """
         idx = self.cens_idx
-        pe = PiecewiseExponential(self.grid, state.rates)
-        if not state.rates[-1] > 0:
+        rates = state.rates
+        if not rates[-1] > 0:
             raise UnreachableMassError(
                 "zero-rate tail: censored times cannot be imputed above their bounds"
             )
@@ -228,10 +246,21 @@ class _FitContext:
             w = np.exp(self.X[idx] @ state.beta) * state.z[self.subj[idx]]
         else:
             w = np.ones(idx.size)
-        u = np.maximum(rng.uniform(size=idx.size), np.nextafter(0.0, 1.0))
-        state.times[idx] = pe.inverse_cum_hazard(
-            pe.cum_hazard(self.marg_times[idx]) - np.log1p(-u) / w
-        )
+        u = np.maximum(rng.random(idx.size), np.nextafter(0.0, 1.0))
+        cum = hazard_ladder(self.widths, rates)
+        bounds = self.marg_times[idx]
+        with np.errstate(over="ignore"):  # checked below
+            level = cum_hazard_at(self.cuts, cum, rates, bounds) - np.log1p(-u) / w
+            times = inverse_cum_hazard_at(self.cuts, cum, rates, level)
+        bad = np.flatnonzero(~np.isfinite(times))
+        if bad.size:
+            i = int(idx[bad[0]])
+            r = self.data.records[i]
+            raise FloatingPointError(
+                f"imputed time of censored record {i} (subject {r.subject_id}, replicate "
+                f"{r.replicate_id}, censored at {bounds[bad[0]]:g}) is not finite"
+            )
+        state.times[idx] = times
 
     def update_rates(self, state, rng):
         h = self.h

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -278,6 +279,23 @@ def test_imputation_zero_tail_aborts_chain():
         impute_censored(state, spec, data, np.random.default_rng(2))
 
 
+def test_overflowing_imputation_aborts_at_once_naming_the_record():
+    # H(1e300) is ~1e300, so the subject's frailty draw underflows and the
+    # residual -log1p(-u) / w overflows; the sweep that draws it must stop.
+    records = [SurvivalRecord(1, 1, None, 0, 1e300)] + [
+        SurvivalRecord(i, 1, 0.5 * i, 1) for i in range(2, 12)
+    ]
+    spec = ModelSpec(FAMILY_GAMMA_CHAIN, TimeGrid((0.0, 2.0, 4.0)))
+    cfg = McmcConfig(n_chains=1, burn_in=0, n_iter=300, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ChainAbortError) as info:
+            run_chain(spec, SurvivalDataset(records), cfg)
+    msg = str(info.value)
+    assert "imputed time of censored record 0 (subject 1, replicate 1, censored at 1e+300)" in msg
+    assert "not finite" in msg
+
+
 # -- chain runner -------------------------------------------------------------------
 
 
@@ -376,6 +394,37 @@ def test_sufficient_stats_calls_per_fit(monkeypatch, family, data, once_per_chai
     run_chains(ModelSpec(family, GRID4), data, cfg)
     sweeps = cfg.burn_in + cfg.n_iter
     assert len(calls) == cfg.n_chains * (1 if once_per_chain else sweeps)
+
+
+@pytest.mark.parametrize(
+    "family", [FAMILY_SIMPLE, FAMILY_GAMMA_CHAIN], ids=["simple-imputing", "gamma-chain"]
+)
+def test_sweeps_build_no_distribution_object(monkeypatch, family):
+    # Only initial_state builds a PiecewiseExponential (for the censored
+    # records' starting times); the sweep works on trusted arrays.
+    data = _partially_censored_dataset(S1, 60, 36)
+    built = []
+    real = PiecewiseExponential.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(PiecewiseExponential, "__init__", counting)
+    cfg = McmcConfig(n_chains=2, burn_in=4, n_iter=6, seed=3)
+    run_chains(ModelSpec(family, GRID4), data, cfg)
+    assert len(built) <= cfg.n_chains
+
+
+def test_random_and_uniform_draw_the_same_doubles():
+    # The slice kernel and imputation call Generator.random, which returns
+    # the doubles Generator.uniform(0, 1) returns (0 + 1 * x is exact).
+    for seed in (0, 5, 2**40):
+        assert np.array_equal(
+            np.random.default_rng(seed).uniform(size=17), np.random.default_rng(seed).random(17)
+        )
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert [a.uniform() for _ in range(50)] == [b.random() for _ in range(50)]
 
 
 def test_monitored_quantities_present():

@@ -3,8 +3,12 @@
 They pin the identities that the sampler's sufficient statistics rest on:
 exposure rows sum to the times, ``(d, R)`` account for every event and every
 unit of exposure, quantiles invert the CDF, and the zeros-trick likelihood
-differs from the direct one by a constant free of the parameters.
+differs from the direct one by a constant free of the parameters.  They
+also pin the sampler's trusted evaluators of H and its inverse to the
+validated ``PiecewiseExponential`` methods, bit for bit.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pexsurv.data import SurvivalDataset, SurvivalRecord
-from pexsurv.distribution import PiecewiseExponential, TimeGrid
+from pexsurv.distribution import (
+    PiecewiseExponential,
+    TimeGrid,
+    UnreachableMassError,
+    cum_hazard_at,
+    hazard_ladder,
+    inverse_cum_hazard_at,
+)
 from pexsurv.models import (
     FAMILY_GAMMA_CHAIN,
     FAMILY_SIMPLE,
@@ -101,3 +112,33 @@ def test_zeros_trick_offset_is_free_of_the_parameters(grid, data, draw):
         ll = log_likelihood(state, spec, data)
         offsets.append(zeros_trick_loglik(state, spec, data) - ll)
     assert offsets[0] == pytest.approx(offsets[1], rel=1e-9, abs=1e-9)
+
+
+@SETTINGS
+@given(grid=grids, draw=st.data(), ts=times, zero_tail=st.booleans())
+def test_trusted_evaluators_equal_the_distribution_methods(grid, draw, ts, zero_tail):
+    rates = _rates(draw.draw, grid, rate)  # zero interior rates included
+    if zero_tail:
+        rates[-1] = 0.0
+    pe = PiecewiseExponential(grid, rates)
+    # the arrays as the sampler builds them, from the public cut points
+    cuts = np.array(grid.cut_points)
+    cum = hazard_ladder(np.diff(cuts), rates)
+    t = np.array(ts)
+    h = cum_hazard_at(cuts, cum, rates, t)
+    assert np.array_equal(h, pe.cum_hazard(t))
+
+    levels = np.concatenate(([0.0], h, draw.draw(st.lists(st.floats(0.0, 100.0), max_size=5))))
+    try:
+        expected = pe.inverse_cum_hazard(levels)
+    except UnreachableMassError as exc:
+        with pytest.raises(UnreachableMassError, match=re.escape(str(exc))):
+            inverse_cum_hazard_at(cuts, cum, rates, levels)
+    else:
+        assert np.array_equal(inverse_cum_hazard_at(cuts, cum, rates, levels), expected)
+    if rates[-1] == 0 and rates.any():
+        past = np.array([cum[-1] * 1.5 + 1.0])  # beyond saturation
+        with pytest.raises(UnreachableMassError, match="saturates"):
+            pe.inverse_cum_hazard(past)
+        with pytest.raises(UnreachableMassError, match="saturates"):
+            inverse_cum_hazard_at(cuts, cum, rates, past)
