@@ -2,11 +2,19 @@
 
 Each sweep updates, in this fixed order: imputed censored times, the rates
 (conjugate Gamma draws where the prior is conjugate, slice sampling
-otherwise), the frailties (conjugate), eta (slice, log scale) and the
-regression coefficients (slice).  Chains are driven by numpy's PCG64
-generator seeded from ``(config.seed, chain_id)``, so a rerun with the same
-seed on the same machine and library versions gives bit-identical output; one
-chain owns its generator and state exclusively.
+otherwise), and, for the frailty families, two more blocks:
+
+* (eta, z), partially collapsed: eta is sliced on the log scale with the
+  frailties integrated out, then every frailty takes its exact Gamma draw
+  given the new eta (van Dyk & Park 2008);
+* one centred slice move per coefficient, along
+  (beta_k + delta, log lambda - delta * xbar_k) with xbar_k the column mean
+  of the design matrix, so the hazard changes only through x_k - xbar_k.
+
+Chains are driven by numpy's PCG64 generator seeded from
+``(config.seed, chain_id)``, so a rerun with the same seed on the same
+machine and library versions gives bit-identical output; one chain owns its
+generator and state exclusively.
 
 Inputs are validated once, by the public constructors (``TimeGrid``,
 ``PiecewiseExponential``, ``SurvivalRecord``, ``ModelSpec``); the sweep then
@@ -65,6 +73,10 @@ __all__ = [
 ]
 
 
+# Largest x with a finite e^x.
+_LOG_MAX = math.log(np.finfo(float).max)
+
+
 class InvariantViolationError(RuntimeError):
     """The sampler was handed a state it cannot recover from."""
 
@@ -81,8 +93,10 @@ class McmcConfig:
     retained, so ``thin`` may not exceed ``n_iter``; ``seed`` is a
     non-negative integer.  The samplers are fixed per block: the simple
     family's rates take their exact conjugate Gamma draw, whose ``(d, R)`` are
-    computed once per chain when no time is imputed, and every slice update
-    uses width 1.0 and at most 50 expansions.
+    computed once per chain when no time is imputed; the frailty families
+    draw (eta, z) as one collapsed block and move each coefficient along its
+    centred covariate; every slice update uses width 1.0 and at most 50
+    expansions.
     ``impute=False`` switches censored records to their analytic
     log-survival contribution instead of data augmentation.
     """
@@ -205,7 +219,21 @@ class _FitContext:
         # is scored as an event; otherwise only true events are.
         dens = np.ones(data.n_records) if augmented else self.events.astype(float)
         self.sub_counts = np.bincount(self.subj, weights=dens, minlength=self.n_sub)
-        self.dens_x = dens @ self.X if self.p else np.zeros(0)
+        # The collapsed eta target sums lgamma(eta + d_i) - lgamma(eta) as
+        # sum_k c_k log(eta + k), with c_k = #{i : d_i > k}.
+        counts = self.sub_counts.astype(int)
+        self.count_ladder = [
+            (float(k), float(np.count_nonzero(counts > k))) for k in range(counts.max(initial=0))
+        ]
+        # The centred beta move, per covariate: x_k - xbar_k (xbar_k the
+        # column mean over records), xbar_k, its range, and its sum over
+        # density records.
+        xbar = self.X.mean(axis=0) if data.n_records else np.zeros(self.p)
+        self.centred = []
+        for k in range(self.p):
+            xc = self.X[:, k] - xbar[k]
+            lo, hi = xc.min(initial=0.0), xc.max(initial=0.0)
+            self.centred.append((xc, float(xbar[k]), float(lo), float(hi), float(dens @ xc)))
         # The simple family's (d, R) depend only on the working times, which
         # move only when censored times are imputed; otherwise the first
         # rate update computes them and every later sweep reuses them.
@@ -219,11 +247,32 @@ class _FitContext:
     def working_times(self, state):
         return state.times if self.augmented else self.marg_times
 
+    def describe_record(self, i):
+        """Which record ``i`` is, and which time of it the sweep works with."""
+        r = self.data.records[i]
+        where = f"record {i} (subject {r.subject_id}, replicate {r.replicate_id}"
+        if r.event:
+            return f"time of {where}, event at {r.time:g})"
+        if self.augmented:
+            return f"imputed time of censored {where}, censored at {r.censor_time:g})"
+        return f"censoring time of {where}, censored at {r.censor_time:g})"
+
     def cum_hazard(self, state):
-        """Baseline cumulative hazard of every record at its working time."""
+        """Baseline cumulative hazard of every record at its working time.
+
+        A value that is not finite (a huge imputed time under a large rate)
+        aborts the sweep with an error that names the record.
+        """
         rates = state.rates
         cum = hazard_ladder(self.widths, rates)
-        return cum_hazard_at(self.cuts, cum, rates, self.working_times(state))
+        with np.errstate(over="ignore"):  # checked below
+            out = cum_hazard_at(self.cuts, cum, rates, self.working_times(state))
+        bad = np.flatnonzero(~np.isfinite(out))
+        if bad.size:
+            raise FloatingPointError(
+                f"cumulative hazard at the {self.describe_record(int(bad[0]))} is not finite"
+            )
+        return out
 
     # -- sweep pieces ------------------------------------------------------
 
@@ -254,12 +303,7 @@ class _FitContext:
             times = inverse_cum_hazard_at(self.cuts, cum, rates, level)
         bad = np.flatnonzero(~np.isfinite(times))
         if bad.size:
-            i = int(idx[bad[0]])
-            r = self.data.records[i]
-            raise FloatingPointError(
-                f"imputed time of censored record {i} (subject {r.subject_id}, replicate "
-                f"{r.replicate_id}, censored at {bounds[bad[0]]:g}) is not finite"
-            )
+            raise FloatingPointError(f"{self.describe_record(int(idx[bad[0]]))} is not finite")
         state.times[idx] = times
 
     def update_rates(self, state, rng):
@@ -274,11 +318,15 @@ class _FitContext:
             state.rates = rng.gamma(h.gamma_shape + d, 1.0 / (h.gamma_rate + risk))
             return
 
+        # The slice targets below do plain float arithmetic: d, R and the
+        # rates are taken out of numpy once per block.
+        d, risk = d.tolist(), risk.tolist()
         if self.spec.family == FAMILY_GAMMA_CHAIN:
             a = h.alpha
+            lam = state.rates.tolist()
             for j in range(self.m):
-                lam_prev = state.rates[j - 1] if j > 0 else 1.0
-                lam_next = state.rates[j + 1] if j + 1 < self.m else None
+                lam_prev = lam[j - 1] if j > 0 else 1.0
+                lam_next = lam[j + 1] if j + 1 < self.m else None
                 dj, rj = d[j], risk[j]
                 own_rate = rj + a / lam_prev
 
@@ -290,12 +338,13 @@ class _FitContext:
                         v += -a * s - a * nxt * math.exp(-s)
                     return v
 
-                state.rates[j] = math.exp(update_scalar_slice(logf, math.log(state.rates[j]), rng))
+                lam[j] = math.exp(update_scalar_slice(logf, math.log(lam[j]), rng))
+            state.rates = np.array(lam)
             return
 
         # log-normal random walk: slice each xi_j on its natural scale
         nu = h.nu
-        xi = np.log(state.rates)
+        xi = np.log(state.rates).tolist()
         for j in range(self.m):
             prev = xi[j - 1] if j > 0 else 0.0
             nxt = xi[j + 1] if j + 1 < self.m else None
@@ -310,45 +359,72 @@ class _FitContext:
             xi[j] = update_scalar_slice(logf, xi[j], rng)
         state.rates = np.exp(xi)
 
-    def update_z(self, state, rng, cumhaz):
+    def subject_hazard(self, state, cumhaz):
+        """A_i: each subject's sum of exp(x' beta) * H over its records."""
         expb = np.exp(self.X @ state.beta)
-        a_sum = np.bincount(self.subj, weights=expb * cumhaz, minlength=self.n_sub)
+        return np.bincount(self.subj, weights=expb * cumhaz, minlength=self.n_sub)
+
+    def update_z(self, state, rng, a_sum):
         state.z = rng.gamma(state.eta + self.sub_counts, 1.0 / (state.eta + a_sum))
 
-    def update_eta(self, state, rng):
-        n = state.z.size
-        sum_z = float(np.sum(state.z))
-        sum_log_z = float(np.sum(np.log(state.z)))
+    def update_eta(self, state, rng, cumhaz):
+        """Collapsed (eta, z) block: eta from its z-marginal, then z | eta.
+
+        With z_i ~ Gamma(eta, eta) integrated out, subject i contributes
+        eta^eta Gamma(eta + d_i) / (Gamma(eta) (eta + A_i)^(eta + d_i)).
+        """
+        a_sum = self.subject_hazard(state, cumhaz)
+        counts, ladder, n = self.sub_counts, self.count_ladder, self.n_sub
         phi1, phi2 = self.h.phi1, self.h.phi2
 
         def logf(s):
-            # includes the log-scale Jacobian: (phi1 - 1) log eta + log eta
+            # log eta = s; the prior's log-scale Jacobian is included
             if s > 600.0 or s < -700.0:
                 return -math.inf
             eta = math.exp(s)
-            return (
-                phi1 * s
-                - phi2 * eta
-                + n * (eta * s - math.lgamma(eta))
-                + (eta - 1.0) * sum_log_z
-                - eta * sum_z
-            )
+            v = phi1 * s - phi2 * eta + n * eta * s
+            for k, c in ladder:
+                v += c * math.log(eta + k)
+            return v - float((eta + counts) @ np.log(eta + a_sum))
 
         state.eta = math.exp(update_scalar_slice(logf, math.log(state.eta), rng))
+        self.update_z(state, rng, a_sum)
 
     def update_beta(self, state, rng, cumhaz):
-        z_haz = state.z[self.subj] * cumhaz
+        """Centred move per covariate: (beta_k + delta, log lambda - delta xbar_k).
+
+        Along that line the hazard moves only through x_k - xbar_k.  The
+        target is in (beta, log lambda) coordinates, so it carries the rate
+        prior's change at the anchor lambda_1 (or xi_1) and its Jacobian.
+        """
         var = self.h.beta_var
+        gamma_chain = self.spec.family == FAMILY_GAMMA_CHAIN
+        a, nu = self.h.alpha, self.h.nu
+        # a_i = z e^{x' beta} H_i; the move scales it by e^{delta (x_ik - xbar_k)}.
+        weight = state.z[self.subj] * np.exp(self.X @ state.beta) * cumhaz
+        beta = state.beta.tolist()
         for k in range(self.p):
-            beta = state.beta
+            xc, xbar = self.centred[k][:2]
+            # Past `room` the hazard term could overflow: there the target is
+            # far below any slice level and counts as -inf.
+            room = _LOG_MAX - math.log(max(1.0, float(weight.sum())))
 
-            def logf(b, k=k):
-                vec = beta.copy()
-                vec[k] = b
-                lin = self.X @ vec
-                return float(self.dens_x @ vec - np.dot(z_haz, np.exp(lin))) - 0.5 * b * b / var
+            def logf(delta, col=self.centred[k], b=beta[k], lam1=float(state.rates[0]), w=weight):
+                xc, xbar, lo, hi, sx = col
+                if delta * (hi if delta > 0.0 else lo) > room:
+                    return -math.inf
+                v = delta * sx - float(w @ np.exp(delta * xc)) - (b + delta) ** 2 / (2.0 * var)
+                if not gamma_chain:
+                    return v - (math.log(lam1) - delta * xbar) ** 2 / (2.0 * nu)
+                if -delta * xbar > _LOG_MAX:
+                    return -math.inf
+                return v - a * delta * xbar - a * lam1 * math.exp(-delta * xbar)
 
-            state.beta[k] = update_scalar_slice(logf, state.beta[k], rng)
+            delta = update_scalar_slice(logf, 0.0, rng)
+            beta[k] += delta
+            state.rates = state.rates * math.exp(-delta * xbar)
+            weight = weight * np.exp(delta * xc)
+        state.beta = np.array(beta)
 
     # -- full sweep and monitoring -----------------------------------------
 
@@ -358,8 +434,7 @@ class _FitContext:
         self.update_rates(state, rng)
         if self.spec.is_frailty:
             cumhaz = self.cum_hazard(state)
-            self.update_z(state, rng, cumhaz)
-            self.update_eta(state, rng)
+            self.update_eta(state, rng, cumhaz)
             self.update_beta(state, rng, cumhaz)
 
     def monitor_values(self, state):
@@ -393,7 +468,7 @@ def update_frailties(state, spec, data, rng, augmented=True):
     if not spec.is_frailty:
         raise ValueError("frailty updates apply to frailty families only")
     ctx = _FitContext(spec, data, augmented)
-    ctx.update_z(state, rng, ctx.cum_hazard(state))
+    ctx.update_z(state, rng, ctx.subject_hazard(state, ctx.cum_hazard(state)))
 
 
 def impute_censored(state, spec, data, rng):

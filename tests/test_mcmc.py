@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from pexsurv import mcmc
 from pexsurv.data import SurvivalDataset, SurvivalRecord, load_kidney
@@ -35,6 +35,7 @@ from pexsurv.models import (
 
 GRID4 = TimeGrid((0.0, 2.0, 3.0, 5.0))
 S1 = (0.3, 0.6, 0.8, 1.3)
+KIDNEY_GRID = TimeGrid(tuple(562.0 * j / 10 for j in range(10)))
 
 
 def _uncensored_dataset(rates, n, seed):
@@ -182,15 +183,31 @@ def test_conjugate_rate_full_conditional_matches_numeric():
     assert var == pytest.approx(shape / rate**2, rel=1e-4)
 
 
-def test_frailty_full_conditional_matches_numeric():
-    rng = np.random.default_rng(66)
+def _captured_targets(monkeypatch):
+    """Slice targets handed to the kernel, which then leaves every point as is."""
+    targets = []
+
+    def capture(log_density, x0, rng, **_):
+        targets.append(log_density)
+        return float(x0)
+
+    monkeypatch.setattr(mcmc, "update_scalar_slice", capture)
+    return targets
+
+
+def _kidney_state(spec, rng):
     kidney = load_kidney()
-    spec = ModelSpec(FAMILY_GAMMA_CHAIN, TimeGrid(tuple(562.0 * j / 10 for j in range(10))))
     state = initial_state(spec, kidney)
-    state.rates = rng.gamma(2.0, 0.01, 10)
+    state.rates = rng.gamma(2.0, 0.01, spec.grid.m)
     state.beta = np.array([-1.2, 0.01])
     state.z = rng.gamma(4.0, 0.25, 38)
     state.eta = 2.5
+    return kidney, state
+
+
+def test_frailty_full_conditional_matches_numeric():
+    spec = ModelSpec(FAMILY_GAMMA_CHAIN, KIDNEY_GRID)
+    kidney, state = _kidney_state(spec, np.random.default_rng(66))
     pe = PiecewiseExponential(spec.grid, state.rates)
     exposure = np.exp(kidney.design_matrix @ state.beta) * pe.cum_hazard(state.times)
     i = 7
@@ -235,6 +252,95 @@ def test_frailty_fixed_at_one_reproduces_simple_path():
     b = sufficient_stats(ss_, simple, data)
     np.testing.assert_array_equal(a.d, b.d)
     np.testing.assert_allclose(a.exposure, b.exposure, rtol=1e-15)
+
+
+@pytest.mark.parametrize("augmented", [True, False], ids=["augmented", "marginal"])
+def test_collapsed_eta_target_is_the_z_marginal(monkeypatch, augmented):
+    # log p(eta) + sum_i log int Gamma(z_i; eta, eta) z_i^d_i e^{-z_i A_i} dz_i,
+    # on s = log eta with its Jacobian, up to a constant in eta.
+    spec = ModelSpec(FAMILY_GAMMA_CHAIN, KIDNEY_GRID)
+    kidney, state = _kidney_state(spec, np.random.default_rng(67))
+    targets = _captured_targets(monkeypatch)
+    ctx = mcmc._FitContext(spec, kidney, augmented)
+    ctx.update_eta(state, np.random.default_rng(0), ctx.cum_hazard(state))
+    (logf,) = targets
+
+    times = state.times if augmented else kidney.marginal_times
+    dens = np.ones(kidney.n_records) if augmented else kidney.event_flags
+    d = np.bincount(kidney.subject_positions, weights=dens)
+    w = np.exp(kidney.design_matrix @ state.beta)
+    cumhaz = PiecewiseExponential(KIDNEY_GRID, state.rates).cum_hazard(times)
+    a = np.bincount(kidney.subject_positions, weights=w * cumhaz)
+    assert set(d) == ({2.0} if augmented else {0.0, 1.0, 2.0})
+    h = spec.hyper
+
+    def marginal(eta):
+        per_subject = (
+            eta * np.log(eta) - special.gammaln(eta) + special.gammaln(eta + d)
+            - (eta + d) * np.log(eta + a)
+        )
+        return stats.gamma.logpdf(eta, h.phi1, scale=1 / h.phi2) + np.log(eta) + per_subject.sum()
+
+    # one subject's integral, by quadrature, against its closed form
+    i = int(np.argmax(d))
+    for eta in (0.7, 3.0):
+        def integrand(z):
+            return np.exp(stats.gamma.logpdf(z, eta, scale=1 / eta) + d[i] * np.log(z) - z * a[i])
+
+        closed = (
+            eta * np.log(eta) - special.gammaln(eta) + special.gammaln(eta + d[i])
+            - (eta + d[i]) * np.log(eta + a[i])
+        )
+        assert np.log(integrate.quad(integrand, 0, np.inf)[0]) == pytest.approx(closed, abs=1e-7)
+
+    s = np.linspace(np.log(0.05), np.log(40.0), 25)
+    got = np.array([logf(v) for v in s])
+    want = np.array([marginal(np.exp(v)) for v in s])
+    assert np.ptp(want) > 10.0
+    assert np.ptp(got - want) < 1e-9
+
+
+@pytest.mark.parametrize("augmented", [True, False], ids=["augmented", "marginal"])
+@pytest.mark.parametrize("family", [FAMILY_GAMMA_CHAIN, FAMILY_LOGNORMAL_RW])
+def test_centred_beta_target_is_the_joint_along_the_shift(monkeypatch, family, augmented):
+    # (beta_k + delta, log lambda - delta xbar_k): the target differs from the
+    # joint density of the shifted state in (beta, log lambda) coordinates by
+    # a constant.  Strong rate priors make their term along the shift visible.
+    spec = ModelSpec(family, KIDNEY_GRID, HyperParams(alpha=3.0, nu=0.5))
+    kidney, state = _kidney_state(spec, np.random.default_rng(68))
+    targets = _captured_targets(monkeypatch)
+    ctx = mcmc._FitContext(spec, kidney, augmented)
+    ctx.update_beta(state, np.random.default_rng(0), ctx.cum_hazard(state))
+    xbar = kidney.design_matrix.mean(axis=0)
+    assert len(targets) == 2 and xbar[1] > 40.0  # age is far off centre
+
+    for k, (logf, span) in enumerate(zip(targets, (0.5, 0.02))):
+        deltas = np.linspace(-span, span, 21)
+        got, want = [], []
+        for delta in deltas:
+            shifted = state.copy()
+            shifted.beta[k] += delta
+            shifted.rates = state.rates * np.exp(-delta * xbar[k])
+            jacobian = np.sum(np.log(shifted.rates)) if family == FAMILY_GAMMA_CHAIN else 0.0
+            got.append(logf(delta))
+            want.append(joint_log_density(shifted, spec, kidney, augmented=augmented) + jacobian)
+        diff = np.array(got) - np.array(want)
+        assert np.ptp(want) > 1.0
+        assert np.ptp(diff) < 1e-8, (k, np.ptp(diff))
+
+
+@pytest.mark.parametrize("family", [FAMILY_GAMMA_CHAIN, FAMILY_LOGNORMAL_RW])
+def test_covariate_of_scale_1e3_moves_without_overflow(family):
+    # Stepping out along age in thousands reaches hazards past the float range;
+    # the target must read -inf there, with no RuntimeWarning (an error here).
+    kidney = load_kidney()
+    data = SurvivalDataset(
+        [replace(r, covariates=(r.covariates[0], 1e3 * r.covariates[1])) for r in kidney.records],
+        kidney.covariate_names,
+    )
+    cfg = McmcConfig(n_chains=1, burn_in=100, n_iter=300, seed=3)
+    age = run_chain(ModelSpec(family, KIDNEY_GRID), data, cfg).draws["beta_age"]
+    assert np.unique(age).size == age.size
 
 
 # -- imputation -------------------------------------------------------------------
@@ -294,6 +400,20 @@ def test_overflowing_imputation_aborts_at_once_naming_the_record():
     msg = str(info.value)
     assert "imputed time of censored record 0 (subject 1, replicate 1, censored at 1e+300)" in msg
     assert "not finite" in msg
+
+
+def test_overflowing_cumulative_hazard_names_the_record():
+    data = SurvivalDataset([SurvivalRecord(1, 1, 1e300, 1), SurvivalRecord(2, 1, 1.0, 1)])
+    spec = ModelSpec(FAMILY_GAMMA_CHAIN, GRID4)
+    state = initial_state(spec, data)
+    state.rates = np.full(4, 1e10)
+    ctx = mcmc._FitContext(spec, data, augmented=False)
+    with pytest.raises(FloatingPointError) as info:
+        ctx.cum_hazard(state)
+    assert str(info.value) == (
+        "cumulative hazard at the time of record 0 (subject 1, replicate 1, event at 1e+300) "
+        "is not finite"
+    )
 
 
 # -- chain runner -------------------------------------------------------------------
@@ -517,9 +637,7 @@ def _prior_draw(spec, rng):
     return rates, beta, z, eta
 
 
-@pytest.mark.parametrize("impute", [True, False])
-@pytest.mark.parametrize("family", [FAMILY_SIMPLE, FAMILY_GAMMA_CHAIN, FAMILY_LOGNORMAL_RW])
-def test_one_sweep_leaves_the_joint_distribution_invariant(family, impute):
+def _assert_one_sweep_invariant(family, impute, covariate):
     # theta ~ prior, data ~ theta, then one sweep from (theta, true latent
     # times): the swept theta is again a prior draw, which a missing Jacobian
     # or a wrong full conditional would break.
@@ -528,7 +646,7 @@ def test_one_sweep_leaves_the_joint_distribution_invariant(family, impute):
     swept = []
     for rep in range(JOINT_REPS):
         rates, beta, z, eta = _prior_draw(spec, rng)
-        w = np.exp(JOINT_X * beta[0]) * z[JOINT_SUBJECT] if spec.is_frailty else np.ones(8)
+        w = np.exp(covariate * beta[0]) * z[JOINT_SUBJECT] if spec.is_frailty else np.ones(8)
         pe = PiecewiseExponential(JOINT_GRID, rates)
         times = pe.inverse_cum_hazard(rng.exponential(size=8) / w)
         data = SurvivalDataset(
@@ -536,7 +654,7 @@ def test_one_sweep_leaves_the_joint_distribution_invariant(family, impute):
                 SurvivalRecord(int(s) + 1, k % 2 + 1, float(t), 1, covariates=(float(x),))
                 if t <= JOINT_CENSOR_AT
                 else SurvivalRecord(int(s) + 1, k % 2 + 1, None, 0, JOINT_CENSOR_AT, (float(x),))
-                for k, (s, t, x) in enumerate(zip(JOINT_SUBJECT, times, JOINT_X))
+                for k, (s, t, x) in enumerate(zip(JOINT_SUBJECT, times, covariate))
             ],
             ("x",),
         )
@@ -555,3 +673,17 @@ def test_one_sweep_leaves_the_joint_distribution_invariant(family, impute):
     for name, direct in checks.items():
         res = stats.ks_2samp([s[name] for s in swept], direct)
         assert res.pvalue > 1e-3, (name, res.pvalue)
+
+
+@pytest.mark.parametrize("impute", [True, False])
+@pytest.mark.parametrize("family", [FAMILY_SIMPLE, FAMILY_GAMMA_CHAIN, FAMILY_LOGNORMAL_RW])
+def test_one_sweep_leaves_the_joint_distribution_invariant(family, impute):
+    _assert_one_sweep_invariant(family, impute, JOINT_X)
+
+
+@pytest.mark.parametrize("impute", [True, False])
+@pytest.mark.parametrize("family", [FAMILY_GAMMA_CHAIN, FAMILY_LOGNORMAL_RW])
+def test_one_sweep_is_invariant_with_an_off_centre_covariate(family, impute):
+    # JOINT_X has mean 0; shifted, the centred beta move's rate-prior term
+    # along (beta + delta, log lambda - delta xbar) no longer vanishes.
+    _assert_one_sweep_invariant(family, impute, JOINT_X + 1.5)
