@@ -27,15 +27,25 @@ working times, so when no time is imputed (no censored record, or
 ``impute=False``) they are computed once per chain and reused by every sweep.
 
 Scalar slice sampling follows the stepping-out / shrinkage scheme: the
-bracket grows by a fixed width of 1.0 up to 50 total expansions (an exceeded
-cap simply falls back to the current bracket) and proposals shrink toward
-the current point until one lands inside the slice.  Positive parameters are
-updated on the log scale with the Jacobian included.
+bracket grows by its width up to 50 total expansions (an exceeded cap simply
+falls back to the current bracket) and proposals shrink toward the current
+point until one lands inside the slice.  Positive parameters are updated on
+the log scale with the Jacobian included.  Each slice coordinate (a log-rate
+or xi_j, log eta, a coefficient's shift) has its own width: 1.0 during
+burn-in, then frozen at ``_WIDTH_PER_JUMP`` times the coordinate's mean
+burn-in jump |x1 - x0|, so the retained draws come from one fixed kernel
+(Neal 2003, section 4.4).  The kernel reads its uniforms from blocks of
+``_UNIFORM_BLOCK`` doubles drawn from the chain's generator.
+
+A rate whose e^x would not be a positive, finite double has density zero:
+the rate targets, and the coefficient moves that rescale every rate, read
+-inf there.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import time
@@ -73,8 +83,17 @@ __all__ = [
 ]
 
 
-# Largest x with a finite e^x.
+# Largest x with a finite e^x, and smallest with a positive one.
 _LOG_MAX = math.log(np.finfo(float).max)
+_LOG_MIN = math.log(np.nextafter(0.0, 1.0))
+
+# A slice width is frozen after burn-in at this multiple of the coordinate's
+# mean burn-in jump: for a normal target the mean jump is ~1.05 sd at any
+# width, and evaluations per update are fewest at a width of 3-4 sd.
+_WIDTH_PER_JUMP = 3.0
+
+# Scalar uniforms for the slice kernel are drawn this many at a time.
+_UNIFORM_BLOCK = 256
 
 
 class InvariantViolationError(RuntimeError):
@@ -95,7 +114,9 @@ class McmcConfig:
     family's rates take their exact conjugate Gamma draw, whose ``(d, R)`` are
     computed once per chain when no time is imputed; the frailty families
     draw (eta, z) as one collapsed block and move each coefficient along its
-    centred covariate; every slice update uses width 1.0 and at most 50
+    centred covariate; each slice coordinate steps out with width 1.0
+    during burn-in and, after it, with a width tuned from its burn-in jumps
+    (recorded as ``slice_widths`` in the chain metadata), by at most 50
     expansions.
     ``impute=False`` switches censored records to their analytic
     log-survival contribution instead of data augmentation.
@@ -171,7 +192,7 @@ def update_scalar_slice(log_density, x0, rng, width=1.0, max_steps=50):
 
     left = x0 - width * rng.random()
     right = left + width
-    grow_left = int(math.floor(max_steps * rng.random()))
+    grow_left = int(max_steps * rng.random())
     grow_right = max_steps - 1 - grow_left
     while grow_left > 0 and log_density(left) > logy:
         left -= width
@@ -243,6 +264,24 @@ class _FitContext:
         if spec.is_frailty:
             self.monitor_names += [f"beta_{n}" for n in data.covariate_names]
             self.monitor_names += ["eta", "kappa"]
+        # Slice coordinates, named after their parameter: the rates (log
+        # lambda_j or xi_j), each coefficient's shift delta, then log eta.
+        # Their jumps are summed on every sweep and read once, when
+        # run_chain freezes the widths after burn-in.
+        self.slice_names = self.monitor_names[:-1] if spec.is_frailty else []
+        self.slice_widths = [1.0] * len(self.slice_names)
+        self.jump_sums = [0.0] * len(self.slice_names)
+
+    def freeze_widths(self, sweeps):
+        """Set each slice width from its mean jump over ``sweeps`` burn-in sweeps.
+
+        A width stays as it is when there was no burn-in sweep or its mean
+        jump is zero or not finite.
+        """
+        for i, total in enumerate(self.jump_sums):
+            width = _WIDTH_PER_JUMP * total / sweeps if sweeps else 0.0
+            if 0.0 < width < math.inf:
+                self.slice_widths[i] = width
 
     def working_times(self, state):
         return state.times if self.augmented else self.marg_times
@@ -318,45 +357,47 @@ class _FitContext:
             state.rates = rng.gamma(h.gamma_shape + d, 1.0 / (h.gamma_rate + risk))
             return
 
-        # The slice targets below do plain float arithmetic: d, R and the
-        # rates are taken out of numpy once per block.
+        # Each rate is sliced on x = log lambda_j (xi_j for the random walk),
+        # with x_0 = 0 before the first.  The targets do plain float
+        # arithmetic on d, R and the log-rates, taken out of numpy once per
+        # block, and read -inf where e^x would not be a positive, finite
+        # double.
         d, risk = d.tolist(), risk.tolist()
-        if self.spec.family == FAMILY_GAMMA_CHAIN:
-            a = h.alpha
-            lam = state.rates.tolist()
-            for j in range(self.m):
-                lam_prev = lam[j - 1] if j > 0 else 1.0
-                lam_next = lam[j + 1] if j + 1 < self.m else None
-                dj, rj = d[j], risk[j]
-                own_rate = rj + a / lam_prev
-
-                def logf(s, dj=dj, own=own_rate, nxt=lam_next, a=a):
-                    # likelihood + own prior + Jacobian: (d_j + alpha) s - own e^s;
-                    # child prior adds -alpha s - alpha lam_next e^{-s}.
-                    v = (dj + a) * s - own * math.exp(s)
-                    if nxt is not None:
-                        v += -a * s - a * nxt * math.exp(-s)
-                    return v
-
-                lam[j] = math.exp(update_scalar_slice(logf, math.log(lam[j]), rng))
-            state.rates = np.array(lam)
-            return
-
-        # log-normal random walk: slice each xi_j on its natural scale
-        nu = h.nu
+        widths, jumps = self.slice_widths, self.jump_sums
+        gamma_chain = self.spec.family == FAMILY_GAMMA_CHAIN
+        a, nu = h.alpha, h.nu
         xi = np.log(state.rates).tolist()
         for j in range(self.m):
             prev = xi[j - 1] if j > 0 else 0.0
             nxt = xi[j + 1] if j + 1 < self.m else None
-            dj, rj = d[j], risk[j]
+            if gamma_chain:
 
-            def logf(x, dj=dj, rj=rj, prev=prev, nxt=nxt, nu=nu):
-                v = dj * x - rj * math.exp(x) - (x - prev) ** 2 / (2.0 * nu)
-                if nxt is not None:
-                    v -= (nxt - x) ** 2 / (2.0 * nu)
-                return v
+                def logf(x, c=d[j] + a, rj=risk[j], prev=prev, nxt=nxt, a=a):
+                    # likelihood + own prior + Jacobian:
+                    # (d_j + alpha) x - R_j e^x - alpha e^{x - x_{j-1}};
+                    # the child prior adds -alpha x - alpha e^{x_{j+1} - x}.
+                    if not _LOG_MIN <= x <= _LOG_MAX or x - prev > _LOG_MAX:
+                        return -math.inf
+                    v = c * x - rj * math.exp(x) - a * math.exp(x - prev)
+                    if nxt is not None:
+                        if nxt - x > _LOG_MAX:
+                            return -math.inf
+                        v -= a * x + a * math.exp(nxt - x)
+                    return v
 
-            xi[j] = update_scalar_slice(logf, xi[j], rng)
+            else:
+
+                def logf(x, dj=d[j], rj=risk[j], prev=prev, nxt=nxt, nu=nu):
+                    if not _LOG_MIN <= x <= _LOG_MAX:
+                        return -math.inf
+                    v = dj * x - rj * math.exp(x) - (x - prev) ** 2 / (2.0 * nu)
+                    if nxt is not None:
+                        v -= (nxt - x) ** 2 / (2.0 * nu)
+                    return v
+
+            x1 = update_scalar_slice(logf, xi[j], rng, width=widths[j])
+            jumps[j] += abs(x1 - xi[j])
+            xi[j] = x1
         state.rates = np.exp(xi)
 
     def subject_hazard(self, state, cumhaz):
@@ -387,7 +428,10 @@ class _FitContext:
                 v += c * math.log(eta + k)
             return v - float((eta + counts) @ np.log(eta + a_sum))
 
-        state.eta = math.exp(update_scalar_slice(logf, math.log(state.eta), rng))
+        s0 = math.log(state.eta)
+        s1 = update_scalar_slice(logf, s0, rng, width=self.slice_widths[-1])
+        self.jump_sums[-1] += abs(s1 - s0)
+        state.eta = math.exp(s1)
         self.update_z(state, rng, a_sum)
 
     def update_beta(self, state, rng, cumhaz):
@@ -397,34 +441,54 @@ class _FitContext:
         target is in (beta, log lambda) coordinates, so it carries the rate
         prior's change at the anchor lambda_1 (or xi_1) and its Jacobian.
         """
+        if not self.p:
+            return
         var = self.h.beta_var
         gamma_chain = self.spec.family == FAMILY_GAMMA_CHAIN
         a, nu = self.h.alpha, self.h.nu
+        widths, jumps = self.slice_widths, self.jump_sums
         # a_i = z e^{x' beta} H_i; the move scales it by e^{delta (x_ik - xbar_k)}.
         weight = state.z[self.subj] * np.exp(self.X @ state.beta) * cumhaz
         beta = state.beta.tolist()
+        # Every move shifts all log-rates alike; `moved` is their total shift.
+        xi = np.log(state.rates)
+        xi1, xi_lo, xi_hi = float(xi[0]), float(xi.min()), float(xi.max())
+        moved = 0.0
         for k in range(self.p):
             xc, xbar = self.centred[k][:2]
             # Past `room` the hazard term could overflow: there the target is
-            # far below any slice level and counts as -inf.
+            # far below any slice level and counts as -inf.  A shift outside
+            # (shift_lo, shift_hi) would take a rate out of the positive,
+            # finite doubles, where the rate targets read -inf.
             room = _LOG_MAX - math.log(max(1.0, float(weight.sum())))
 
-            def logf(delta, col=self.centred[k], b=beta[k], lam1=float(state.rates[0]), w=weight):
+            def logf(
+                delta,
+                col=self.centred[k],
+                b=beta[k],
+                xi1=xi1 + moved,
+                shift_lo=_LOG_MIN - xi_lo - moved,
+                shift_hi=_LOG_MAX - xi_hi - moved,
+                w=weight,
+            ):
                 xc, xbar, lo, hi, sx = col
                 if delta * (hi if delta > 0.0 else lo) > room:
                     return -math.inf
+                shift = -delta * xbar
+                if not shift_lo <= shift <= shift_hi:
+                    return -math.inf
                 v = delta * sx - float(w @ np.exp(delta * xc)) - (b + delta) ** 2 / (2.0 * var)
                 if not gamma_chain:
-                    return v - (math.log(lam1) - delta * xbar) ** 2 / (2.0 * nu)
-                if -delta * xbar > _LOG_MAX:
-                    return -math.inf
-                return v - a * delta * xbar - a * lam1 * math.exp(-delta * xbar)
+                    return v - (xi1 + shift) ** 2 / (2.0 * nu)
+                return v + a * shift - a * math.exp(xi1 + shift)
 
-            delta = update_scalar_slice(logf, 0.0, rng)
+            delta = update_scalar_slice(logf, 0.0, rng, width=widths[self.m + k])
+            jumps[self.m + k] += abs(delta)
             beta[k] += delta
-            state.rates = state.rates * math.exp(-delta * xbar)
+            moved -= delta * xbar
             weight = weight * np.exp(delta * xc)
         state.beta = np.array(beta)
+        state.rates = np.exp(xi + moved)
 
     # -- full sweep and monitoring -----------------------------------------
 
@@ -486,6 +550,27 @@ def chain_rng(seed: int, chain_id: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chain_id,)))
 
 
+class _ChainSource:
+    """A chain's generator, with scalar uniforms handed out of blocks.
+
+    ``random()`` returns the next double of a block drawn with
+    ``gen.random(_UNIFORM_BLOCK)``; ``random(size)`` and ``gamma`` draw from
+    the generator itself.  The sweep's blocks take this or a plain
+    ``Generator``.
+    """
+
+    __slots__ = ("gen", "gamma", "_next")
+
+    def __init__(self, gen: np.random.Generator):
+        self.gen = gen
+        self.gamma = gen.gamma
+        blocks = iter(lambda: gen.random(_UNIFORM_BLOCK).tolist(), None)
+        self._next = itertools.chain.from_iterable(blocks).__next__
+
+    def random(self, size=None):
+        return self._next() if size is None else self.gen.random(size)
+
+
 def run_chain(
     spec: ModelSpec,
     data: SurvivalDataset,
@@ -498,13 +583,15 @@ def run_chain(
     Any update failure aborts the chain with the iteration index attached.
     """
     ctx = _FitContext(spec, data, config.impute)
-    rng = chain_rng(config.seed, chain_id)
+    rng = _ChainSource(chain_rng(config.seed, chain_id))
     state = init.copy() if init is not None else initial_state(spec, data)
     kept = config.n_iter // config.thin
     buf = np.empty((kept, len(ctx.monitor_names)))
     row = 0
     start = time.perf_counter()
     for it in range(config.burn_in + config.n_iter):
+        if it == config.burn_in:
+            ctx.freeze_widths(it)
         try:
             ctx.sweep(state, rng)
             k = it - config.burn_in
@@ -523,6 +610,7 @@ def run_chain(
         "grid": list(spec.grid.cut_points),
         "config": asdict(config),
         "n_recorded": kept,
+        "slice_widths": dict(zip(ctx.slice_names, ctx.slice_widths)),
         "wall_time_s": wall,
     }
     return ChainStore(draws=draws, meta=meta)

@@ -121,6 +121,12 @@ def test_fit_statistical_outputs_reproducible(tmp_path):
         mb = json.loads((b / name).read_text())
         ma.pop("wall_time_s"), mb.pop("wall_time_s")
         assert ma == mb
+        # one tuned step width per slice coordinate, by parameter name
+        assert set(ma["slice_widths"]) == {
+            "lambda[1]", "lambda[2]", "lambda[3]", "lambda[4]", "lambda[5]",
+            "beta_sex", "beta_age", "eta",
+        }
+        assert all(w > 0.0 for w in ma["slice_widths"].values())
     ma = json.loads((a / "manifest.json").read_text())
     mb = json.loads((b / "manifest.json").read_text())
     ma.pop("timings_s"), mb.pop("timings_s")

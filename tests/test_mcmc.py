@@ -343,6 +343,105 @@ def test_covariate_of_scale_1e3_moves_without_overflow(family):
     assert np.unique(age).size == age.size
 
 
+def test_gamma_chain_rates_of_intervals_without_records_stay_positive():
+    # No record reaches (4, 100) or beyond, so with alpha = 0.01 those
+    # log-rates drift far below -745, where e^x underflows to 0 and the next
+    # sweep's log(0) would abort the chain ("math domain error"); this run
+    # gets there without the targets' guard.
+    times = np.linspace(0.1, 3.9, 40)
+    data = SurvivalDataset(
+        [SurvivalRecord(i + 1, 1, float(t), 1, covariates=(float(i % 3),)) for i, t in enumerate(times)],
+        ("x",),
+    )
+    cfg = McmcConfig(n_chains=1, burn_in=500, n_iter=3000, seed=4)
+    store = run_chain(ModelSpec(FAMILY_GAMMA_CHAIN, TimeGrid((0.0, 2.0, 4.0, 100.0))), data, cfg)
+    tail = np.concatenate([store.draws["lambda[3]"], store.draws["lambda[4]"]])
+    assert np.all(tail > 0.0) and np.all(np.isfinite(tail))
+
+
+@pytest.mark.parametrize("family", [FAMILY_GAMMA_CHAIN, FAMILY_LOGNORMAL_RW])
+def test_targets_read_minus_inf_where_a_rate_would_leave_the_doubles(monkeypatch, family):
+    # The last two rates are subnormal, as after a long drift with no data.
+    spec = ModelSpec(family, KIDNEY_GRID)
+    kidney, state = _kidney_state(spec, np.random.default_rng(69))
+    state.rates[-2:] = (1e-315, 1e-320)
+    targets = _captured_targets(monkeypatch)
+    ctx = mcmc._FitContext(spec, kidney, augmented=True)
+    ctx.update_rates(state, np.random.default_rng(0))
+    ctx.update_beta(state, np.random.default_rng(0), ctx.cum_hazard(state))
+    *rate_targets, _, age = targets
+    # finite at the current point, even where 1 / lambda_{j-1} overflows;
+    # -inf where e^x underflows to 0 or overflows
+    for logf, x in zip(rate_targets, np.log(state.rates)):
+        assert np.isfinite(logf(x))
+        assert logf(-746.0) == logf(710.0) == -np.inf
+    # The coefficient move shifts every log-rate by -delta * xbar; past
+    # log(5e-324) - log(1e-320) = -7.6 the last rate would underflow.
+    xbar = kidney.design_matrix[:, 1].mean()
+    assert np.isfinite(age(7.5 / xbar))
+    assert age(7.7 / xbar) == -np.inf
+
+
+def test_slice_widths_are_one_in_burn_in_then_frozen_and_recorded(monkeypatch):
+    widths = []
+    kernel = mcmc.update_scalar_slice
+
+    def recording(log_density, x0, rng, width):
+        widths.append(width)
+        return kernel(log_density, x0, rng, width=width)
+
+    monkeypatch.setattr(mcmc, "update_scalar_slice", recording)
+    spec = ModelSpec(FAMILY_GAMMA_CHAIN, KIDNEY_GRID)
+    store = run_chain(spec, load_kidney(), McmcConfig(n_chains=1, burn_in=40, n_iter=60, seed=2))
+    # per sweep: ten rates, eta, then the two coefficients
+    per_sweep = np.array(widths).reshape(100, 13)
+    assert np.all(per_sweep[:40] == 1.0)
+    assert np.all(per_sweep[40:] == per_sweep[40])
+    assert np.unique(per_sweep[40]).size == 13
+    names = [f"lambda[{j}]" for j in range(1, 11)] + ["eta", "beta_sex", "beta_age"]
+    assert store.meta["slice_widths"] == dict(zip(names, per_sweep[40].tolist()))
+
+    no_burn_in = McmcConfig(n_chains=1, burn_in=0, n_iter=5, seed=2)
+    assert set(run_chain(spec, load_kidney(), no_burn_in).meta["slice_widths"].values()) == {1.0}
+    simple = ModelSpec(FAMILY_SIMPLE, KIDNEY_GRID)
+    assert run_chain(simple, load_kidney(), no_burn_in).meta["slice_widths"] == {}
+
+
+def test_coefficient_moves_cost_the_same_on_any_covariate_scale(monkeypatch):
+    # With one fixed width of 1.0, age in thousands (where delta's posterior
+    # sd is ~1e-5) costs ~14.5 target evaluations per coefficient update
+    # against ~7.7 in years; a width tuned during burn-in follows the scale.
+    kidney = load_kidney()
+    thousands = SurvivalDataset(
+        [replace(r, covariates=(r.covariates[0], 1e3 * r.covariates[1])) for r in kidney.records],
+        kidney.covariate_names,
+    )
+    evals = []
+    kernel = mcmc.update_scalar_slice
+
+    def counting(log_density, x0, rng, **kwargs):
+        if "update_beta" not in log_density.__qualname__:
+            return kernel(log_density, x0, rng, **kwargs)
+        count = [0]
+
+        def counted(x):
+            count[0] += 1
+            return log_density(x)
+
+        x1 = kernel(counted, x0, rng, **kwargs)
+        evals.append(count[0])
+        return x1
+
+    monkeypatch.setattr(mcmc, "update_scalar_slice", counting)
+    cfg = McmcConfig(n_chains=1, burn_in=300, n_iter=900, seed=3)
+    cost = {}
+    for label, data in (("years", kidney), ("thousands", thousands)):
+        evals.clear()
+        run_chain(ModelSpec(FAMILY_GAMMA_CHAIN, KIDNEY_GRID), data, cfg)
+        cost[label] = np.mean(evals[2 * cfg.burn_in:])  # two coefficients per sweep
+    assert cost["thousands"] == pytest.approx(cost["years"], rel=0.1)
+
+
 # -- imputation -------------------------------------------------------------------
 
 
@@ -537,14 +636,29 @@ def test_sweeps_build_no_distribution_object(monkeypatch, family):
 
 
 def test_random_and_uniform_draw_the_same_doubles():
-    # The slice kernel and imputation call Generator.random, which returns
-    # the doubles Generator.uniform(0, 1) returns (0 + 1 * x is exact).
+    # The slice kernel's uniform blocks and imputation come from
+    # Generator.random, which returns the doubles Generator.uniform(0, 1)
+    # returns (0 + 1 * x is exact).
     for seed in (0, 5, 2**40):
         assert np.array_equal(
             np.random.default_rng(seed).uniform(size=17), np.random.default_rng(seed).random(17)
         )
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
         assert [a.uniform() for _ in range(50)] == [b.random() for _ in range(50)]
+
+
+def test_chain_source_hands_out_scalar_uniforms_in_blocks():
+    # Scalar uniforms come from blocks of gen.random(256); sized and Gamma
+    # draws go to the generator between blocks.
+    source = mcmc._ChainSource(np.random.default_rng(8))
+    scalars = [source.random() for _ in range(300)]
+    sized = source.random(3)
+    ref = np.random.default_rng(8)
+    blocks = ref.random(256).tolist() + ref.random(256).tolist()
+    assert scalars == blocks[:300]
+    assert np.array_equal(sized, ref.random(3))
+    assert source.gamma(2.0) == ref.gamma(2.0)
+    assert source.random() == blocks[300]
 
 
 def test_monitored_quantities_present():
@@ -637,10 +751,11 @@ def _prior_draw(spec, rng):
     return rates, beta, z, eta
 
 
-def _assert_one_sweep_invariant(family, impute, covariate):
+def _assert_one_sweep_invariant(family, impute, covariate, width=1.0):
     # theta ~ prior, data ~ theta, then one sweep from (theta, true latent
     # times): the swept theta is again a prior draw, which a missing Jacobian
-    # or a wrong full conditional would break.
+    # or a wrong full conditional would break.  Every slice width is frozen
+    # at ``width`` (1.0 is the width of a chain with no burn-in).
     spec = ModelSpec(family, JOINT_GRID, JOINT_HYPER)
     rng = np.random.default_rng(2004)
     swept = []
@@ -658,10 +773,11 @@ def _assert_one_sweep_invariant(family, impute, covariate):
             ],
             ("x",),
         )
-        init = ParamState(rates=rates, beta=beta, z=z, eta=eta, times=times)
-        cfg = McmcConfig(n_chains=1, burn_in=0, n_iter=1, seed=rep, impute=impute)
-        store = run_chain(spec, data, cfg, init=init)
-        swept.append({name: col[0] for name, col in store.draws.items()})
+        state = ParamState(rates=rates, beta=beta, z=z, eta=eta, times=times)
+        ctx = mcmc._FitContext(spec, data, impute)
+        ctx.slice_widths = [width] * len(ctx.slice_widths)
+        ctx.sweep(state, mcmc._ChainSource(chain_rng(rep, 1)))
+        swept.append(dict(zip(ctx.monitor_names, ctx.monitor_values(state))))
     prior = [_prior_draw(spec, rng) for _ in range(JOINT_REPS)]
     checks = {
         "lambda[1]": [p[0][0] for p in prior],
@@ -687,3 +803,12 @@ def test_one_sweep_is_invariant_with_an_off_centre_covariate(family, impute):
     # JOINT_X has mean 0; shifted, the centred beta move's rate-prior term
     # along (beta + delta, log lambda - delta xbar) no longer vanishes.
     _assert_one_sweep_invariant(family, impute, JOINT_X + 1.5)
+
+
+@pytest.mark.parametrize("width", [0.05, 20.0])
+@pytest.mark.parametrize("impute", [True, False])
+@pytest.mark.parametrize("family", [FAMILY_GAMMA_CHAIN, FAMILY_LOGNORMAL_RW])
+def test_one_sweep_is_invariant_with_frozen_widths(family, impute, width):
+    # Tuned widths differ from 1.0 by orders of magnitude; a width applied on
+    # the wrong scale, or changed within an update, breaks invariance.
+    _assert_one_sweep_invariant(family, impute, JOINT_X + 1.5, width)
