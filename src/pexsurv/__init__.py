@@ -38,11 +38,8 @@ from .mcmc import (
     ChainStore,
     InvariantViolationError,
     McmcConfig,
-    impute_censored,
     run_chain,
     run_chains,
-    update_frailties,
-    update_rates_conjugate,
     update_scalar_slice,
 )
 from .models import (

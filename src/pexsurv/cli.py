@@ -137,6 +137,8 @@ def _cmd_fit(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     data = load_kidney() if args.data == "kidney" else read_dataset_csv(args.data)
+    if not data.n_records:
+        raise CliError(f"dataset {args.data} has no records")
     grid = _resolve_grid(args, data)
     spec = ModelSpec(family=_MODEL_NAMES[args.model], grid=grid)
     config = McmcConfig(
@@ -195,6 +197,9 @@ def _scenario_dataset(rates, n, rng) -> SurvivalDataset:
 
 
 def _cmd_simulate(args) -> int:
+    for flag, value in (("--n", args.n), ("--reps", args.reps)):
+        if value < 1:
+            raise CliError(f"{flag} must be at least 1")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     true_rates = SCENARIOS[args.scenario]

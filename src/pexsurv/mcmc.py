@@ -1,5 +1,10 @@
 """Seed-reproducible Gibbs sampler for the piecewise exponential models.
 
+The public entry points are ``run_chain`` / ``run_chains`` and the scalar
+slice kernel ``update_scalar_slice``.  Every block of the sweep is a method of
+one private fit context, built once per chain, which holds the only
+implementation of each update.
+
 Each sweep updates, in this fixed order: imputed censored times, the rates
 (conjugate Gamma draws where the prior is conjugate, slice sampling
 otherwise), and, for the frailty families, two more blocks:
@@ -75,9 +80,6 @@ __all__ = [
     "McmcConfig",
     "ChainStore",
     "update_scalar_slice",
-    "update_rates_conjugate",
-    "update_frailties",
-    "impute_censored",
     "run_chain",
     "run_chains",
 ]
@@ -91,6 +93,9 @@ _LOG_MIN = math.log(np.nextafter(0.0, 1.0))
 # mean burn-in jump: for a normal target the mean jump is ~1.05 sd at any
 # width, and evaluations per update are fewest at a width of 3-4 sd.
 _WIDTH_PER_JUMP = 3.0
+
+# Stepping out grows a slice bracket by at most this many widths in all.
+_MAX_STEPS = 50
 
 # Scalar uniforms for the slice kernel are drawn this many at a time.
 _UNIFORM_BLOCK = 256
@@ -108,10 +113,11 @@ class ChainAbortError(RuntimeError):
 class McmcConfig:
     """Chain layout, seeding and likelihood mode.
 
-    ``n_iter`` counts post-burn-in iterations; ``n_iter // thin`` draws are
-    retained, so ``thin`` may not exceed ``n_iter``; ``seed`` is a
-    non-negative integer.  The samplers are fixed per block: the simple
-    family's rates take their exact conjugate Gamma draw, whose ``(d, R)`` are
+    The four layout fields and ``seed`` are Python or numpy integers, stored
+    as ``int``.  ``n_iter`` counts post-burn-in iterations; ``n_iter // thin``
+    draws are retained, so ``thin`` may not exceed ``n_iter``; ``seed`` is
+    non-negative.  The samplers are fixed per block: the simple family's
+    rates take their exact conjugate Gamma draw, whose ``(d, R)`` are
     computed once per chain when no time is imputed; the frailty families
     draw (eta, z) as one collapsed block and move each coefficient along its
     centred covariate; each slice coordinate steps out with width 1.0
@@ -130,15 +136,19 @@ class McmcConfig:
     impute: bool = True
 
     def __post_init__(self):
+        for name in ("n_chains", "burn_in", "n_iter", "thin", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # JSON-safe in chain metadata
         if self.n_chains < 1 or self.n_iter < 1 or self.thin < 1 or self.burn_in < 0:
             raise ValueError("chain layout values out of range")
         if self.thin > self.n_iter:
             raise ValueError(
                 f"thin ({self.thin}) exceeds n_iter ({self.n_iter}); no draw would be retained"
             )
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))  # JSON-safe in chain metadata
 
 
 @dataclass
@@ -175,7 +185,7 @@ class ChainStore:
             fh.write("\n")
 
 
-def update_scalar_slice(log_density, x0, rng, width=1.0, max_steps=50):
+def update_scalar_slice(log_density, x0, rng, width=1.0):
     """One stepping-out + shrinkage slice transition for a scalar target.
 
     Requires a finite log density at the current point; the target is left
@@ -192,8 +202,8 @@ def update_scalar_slice(log_density, x0, rng, width=1.0, max_steps=50):
 
     left = x0 - width * rng.random()
     right = left + width
-    grow_left = int(max_steps * rng.random())
-    grow_right = max_steps - 1 - grow_left
+    grow_left = int(_MAX_STEPS * rng.random())
+    grow_right = _MAX_STEPS - 1 - grow_left
     while grow_left > 0 and log_density(left) > logy:
         left -= width
         grow_left -= 1
@@ -213,7 +223,7 @@ def update_scalar_slice(log_density, x0, rng, width=1.0, max_steps=50):
 
 
 class _FitContext:
-    """Precomputed data views shared by every sweep of one fit.
+    """Precomputed data views shared by every sweep of one fit, and its blocks.
 
     ``augmented`` is the likelihood mode (``McmcConfig.impute``).  Grid, data
     and specification were validated by their constructors, so the sweep
@@ -300,11 +310,13 @@ class _FitContext:
         """Baseline cumulative hazard of every record at its working time.
 
         A value that is not finite (a huge imputed time under a large rate)
-        aborts the sweep with an error that names the record.
+        aborts the sweep with an error that names the record.  Ladder entries
+        may overflow to inf (a huge rate in an interval no record reaches);
+        only a record that reads one aborts.
         """
         rates = state.rates
-        cum = hazard_ladder(self.widths, rates)
         with np.errstate(over="ignore"):  # checked below
+            cum = hazard_ladder(self.widths, rates)
             out = cum_hazard_at(self.cuts, cum, rates, self.working_times(state))
         bad = np.flatnonzero(~np.isfinite(out))
         if bad.size:
@@ -335,9 +347,9 @@ class _FitContext:
         else:
             w = np.ones(idx.size)
         u = np.maximum(rng.random(idx.size), np.nextafter(0.0, 1.0))
-        cum = hazard_ladder(self.widths, rates)
         bounds = self.marg_times[idx]
         with np.errstate(over="ignore"):  # checked below
+            cum = hazard_ladder(self.widths, rates)
             level = cum_hazard_at(self.cuts, cum, rates, bounds) - np.log1p(-u) / w
             times = inverse_cum_hazard_at(self.cuts, cum, rates, level)
         bad = np.flatnonzero(~np.isfinite(times))
@@ -400,21 +412,20 @@ class _FitContext:
             xi[j] = x1
         state.rates = np.exp(xi)
 
-    def subject_hazard(self, state, cumhaz):
-        """A_i: each subject's sum of exp(x' beta) * H over its records."""
-        expb = np.exp(self.X @ state.beta)
-        return np.bincount(self.subj, weights=expb * cumhaz, minlength=self.n_sub)
-
     def update_z(self, state, rng, a_sum):
         state.z = rng.gamma(state.eta + self.sub_counts, 1.0 / (state.eta + a_sum))
 
-    def update_eta(self, state, rng, cumhaz):
+    def update_eta(self, state, rng, expb, cumhaz):
         """Collapsed (eta, z) block: eta from its z-marginal, then z | eta.
 
-        With z_i ~ Gamma(eta, eta) integrated out, subject i contributes
-        eta^eta Gamma(eta + d_i) / (Gamma(eta) (eta + A_i)^(eta + d_i)).
+        A_i is subject i's sum of e^{x' beta} H over its records, from
+        ``expb`` = e^{X beta} and ``cumhaz`` = H at the working times.  With
+        z_i ~ Gamma(eta, eta) integrated out, subject i contributes
+        eta^eta Gamma(eta + d_i) / (Gamma(eta) (eta + A_i)^(eta + d_i)); given
+        the new eta, z_i ~ Gamma(eta + d_i, eta + A_i), d_i the subject's
+        density records.
         """
-        a_sum = self.subject_hazard(state, cumhaz)
+        a_sum = np.bincount(self.subj, weights=expb * cumhaz, minlength=self.n_sub)
         counts, ladder, n = self.sub_counts, self.count_ladder, self.n_sub
         phi1, phi2 = self.h.phi1, self.h.phi2
 
@@ -434,7 +445,7 @@ class _FitContext:
         state.eta = math.exp(s1)
         self.update_z(state, rng, a_sum)
 
-    def update_beta(self, state, rng, cumhaz):
+    def update_beta(self, state, rng, expb, cumhaz):
         """Centred move per covariate: (beta_k + delta, log lambda - delta xbar_k).
 
         Along that line the hazard moves only through x_k - xbar_k.  The
@@ -448,7 +459,7 @@ class _FitContext:
         a, nu = self.h.alpha, self.h.nu
         widths, jumps = self.slice_widths, self.jump_sums
         # a_i = z e^{x' beta} H_i; the move scales it by e^{delta (x_ik - xbar_k)}.
-        weight = state.z[self.subj] * np.exp(self.X @ state.beta) * cumhaz
+        weight = state.z[self.subj] * expb * cumhaz
         beta = state.beta.tolist()
         # Every move shifts all log-rates alike; `moved` is their total shift.
         xi = np.log(state.rates)
@@ -497,9 +508,11 @@ class _FitContext:
             self.impute(state, rng)
         self.update_rates(state, rng)
         if self.spec.is_frailty:
+            # beta and the rates are fixed until update_beta, which moves them.
+            expb = np.exp(self.X @ state.beta)
             cumhaz = self.cum_hazard(state)
-            self.update_eta(state, rng, cumhaz)
-            self.update_beta(state, rng, cumhaz)
+            self.update_eta(state, rng, expb, cumhaz)
+            self.update_beta(state, rng, expb, cumhaz)
 
     def monitor_values(self, state):
         vals = list(state.rates)
@@ -507,39 +520,6 @@ class _FitContext:
             vals += list(state.beta)
             vals += [state.eta, state.kappa]
         return vals
-
-
-# -- public update operations (one sweep block each) --------------------------
-
-
-def update_rates_conjugate(state, spec, data, rng, augmented=True):
-    """Exact Gamma draw of every rate for the simple family.
-
-    The full conditional is Gamma(a + d_j, b + R_j); with no data this is
-    simply the prior.
-    """
-    if spec.family != FAMILY_SIMPLE:
-        raise ValueError("conjugate rate updates apply to the simple family only")
-    _FitContext(spec, data, augmented).update_rates(state, rng)
-
-
-def update_frailties(state, spec, data, rng, augmented=True):
-    """Conjugate Gamma draw of each subject's frailty.
-
-    z_i ~ Gamma(eta + events_i, eta + sum_k A_ik) with A_ik the record's
-    covariate-scaled cumulative baseline hazard at its working time.
-    """
-    if not spec.is_frailty:
-        raise ValueError("frailty updates apply to frailty families only")
-    ctx = _FitContext(spec, data, augmented)
-    ctx.update_z(state, rng, ctx.subject_hazard(state, ctx.cum_hazard(state)))
-
-
-def impute_censored(state, spec, data, rng):
-    """Redraw every censored record's time above its censoring bound."""
-    ctx = _FitContext(spec, data, augmented=True)
-    if ctx.cens_idx.size:
-        ctx.impute(state, rng)
 
 
 # -- chain runner ------------------------------------------------------------
@@ -620,13 +600,6 @@ def run_chains(
     spec: ModelSpec,
     data: SurvivalDataset,
     config: McmcConfig,
-    inits=None,
 ) -> list[ChainStore]:
     """Run ``config.n_chains`` independent chains (ids 1..n)."""
-    if inits is not None and len(inits) != config.n_chains:
-        raise ValueError("need one init per chain")
-    out = []
-    for c in range(1, config.n_chains + 1):
-        init = inits[c - 1] if inits is not None else None
-        out.append(run_chain(spec, data, config, chain_id=c, init=init))
-    return out
+    return [run_chain(spec, data, config, chain_id=c) for c in range(1, config.n_chains + 1)]

@@ -169,6 +169,17 @@ def test_fit_negative_seed_is_validation_error(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+def test_fit_dataset_without_records_is_validation_error(tmp_path, capsys):
+    # would fail inside the grid with numpy's "zero-size array to reduction"
+    path = tmp_path / "empty.csv"
+    path.write_text("subject,replicate,time,status\n")
+    rc = main(["fit", "--model", "simple", "--data", str(path), "--m", "3",
+               "--chains", "1", "--burnin", "10", "--iters", "100", "--seed", "1",
+               "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert f"dataset {path} has no records" in capsys.readouterr().err
+
+
 # -- simulate -------------------------------------------------------------------
 
 
@@ -191,6 +202,19 @@ def test_simulate_covered_flags_are_binary(tmp_path):
                  "--seed", "11", "--out", str(out)]) == 0
     rows = (out / "results.csv").read_text().strip().splitlines()[1:]
     assert {r.rsplit(",", 1)[1] for r in rows} <= {"0", "1"}
+
+
+@pytest.mark.parametrize("flag, value", [("--n", "-1"), ("--n", "0"), ("--reps", "0")])
+def test_simulate_sizes_below_one_are_validation_errors(tmp_path, capsys, flag, value):
+    # --n -1 failed in numpy ("negative dimensions are not allowed"); --reps 0
+    # wrote an empty results.csv and exited 0
+    args = {"--n": "50", "--reps": "1", flag: value}
+    out = tmp_path / "sim"
+    rc = main(["simulate", "--scenario", "s1", "--seed", "1", "--out", str(out),
+               *[v for item in args.items() for v in item]])
+    assert rc == 2
+    assert f"{flag} must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- round trip through the CLI's data path ---------------------------------------

@@ -14,11 +14,8 @@ from pexsurv.mcmc import (
     InvariantViolationError,
     McmcConfig,
     chain_rng,
-    impute_censored,
     run_chain,
     run_chains,
-    update_frailties,
-    update_rates_conjugate,
     update_scalar_slice,
 )
 from pexsurv.models import (
@@ -133,21 +130,14 @@ def test_conjugate_rates_with_no_data_draw_from_prior():
     spec = ModelSpec(FAMILY_SIMPLE, TimeGrid((0.0,)))
     data = SurvivalDataset([])
     state = initial_state(spec, data)
+    ctx = mcmc._FitContext(spec, data, augmented=True)
     rng = np.random.default_rng(17)
     draws = np.empty(50_000)
     for i in range(draws.size):
-        update_rates_conjugate(state, spec, data, rng)
+        ctx.update_rates(state, rng)
         draws[i] = state.rates[0]
     res = stats.kstest(draws, "gamma", args=(0.01, 0, 1 / 0.01))
     assert res.pvalue > 0.001
-
-
-def test_conjugate_rates_rejected_for_frailty_family():
-    spec = ModelSpec(FAMILY_GAMMA_CHAIN, GRID4)
-    data = _uncensored_dataset(S1, 10, 1)
-    state = initial_state(spec, data)
-    with pytest.raises(ValueError):
-        update_rates_conjugate(state, spec, data, np.random.default_rng(0))
 
 
 def _grid_moments(xs, log_vals):
@@ -236,7 +226,9 @@ def test_frailty_update_prior_limit():
     state = initial_state(spec, data)
     state.rates = np.array([1e-9])
     state.eta = 2.0
-    update_frailties(state, spec, data, np.random.default_rng(19), augmented=False)
+    ctx = mcmc._FitContext(spec, data, augmented=False)
+    exposure = np.exp(data.design_matrix @ state.beta) * ctx.cum_hazard(state)
+    ctx.update_z(state, np.random.default_rng(19), np.bincount(data.subject_positions, exposure))
     res = stats.kstest(state.z, "gamma", args=(2.0, 0, 0.5))
     assert res.pvalue > 0.001
 
@@ -262,7 +254,8 @@ def test_collapsed_eta_target_is_the_z_marginal(monkeypatch, augmented):
     kidney, state = _kidney_state(spec, np.random.default_rng(67))
     targets = _captured_targets(monkeypatch)
     ctx = mcmc._FitContext(spec, kidney, augmented)
-    ctx.update_eta(state, np.random.default_rng(0), ctx.cum_hazard(state))
+    expb = np.exp(kidney.design_matrix @ state.beta)
+    ctx.update_eta(state, np.random.default_rng(0), expb, ctx.cum_hazard(state))
     (logf,) = targets
 
     times = state.times if augmented else kidney.marginal_times
@@ -310,7 +303,8 @@ def test_centred_beta_target_is_the_joint_along_the_shift(monkeypatch, family, a
     kidney, state = _kidney_state(spec, np.random.default_rng(68))
     targets = _captured_targets(monkeypatch)
     ctx = mcmc._FitContext(spec, kidney, augmented)
-    ctx.update_beta(state, np.random.default_rng(0), ctx.cum_hazard(state))
+    expb = np.exp(kidney.design_matrix @ state.beta)
+    ctx.update_beta(state, np.random.default_rng(0), expb, ctx.cum_hazard(state))
     xbar = kidney.design_matrix.mean(axis=0)
     assert len(targets) == 2 and xbar[1] > 40.0  # age is far off centre
 
@@ -359,6 +353,18 @@ def test_gamma_chain_rates_of_intervals_without_records_stay_positive():
     assert np.all(tail > 0.0) and np.all(np.isfinite(tail))
 
 
+def test_diffuse_random_walk_rates_of_intervals_without_records_do_not_abort():
+    # Under nu = 1e6 the rate of (4, 100) wanders up to ~e^709, where the
+    # hazard ladder's width * rate overflows; no record reads that entry, so
+    # the overflow must not abort the chain (RuntimeWarnings are errors here).
+    times = np.linspace(0.1, 3.9, 40)
+    data = SurvivalDataset([SurvivalRecord(i + 1, 1, float(t), 1) for i, t in enumerate(times)])
+    spec = ModelSpec(FAMILY_LOGNORMAL_RW, TimeGrid((0.0, 2.0, 4.0, 100.0)), HyperParams(nu=1e6))
+    store = run_chain(spec, data, McmcConfig(n_chains=1, burn_in=500, n_iter=3000, seed=1))
+    draws = np.concatenate(list(store.draws.values()))
+    assert np.all(draws > 0.0) and np.all(np.isfinite(draws))
+
+
 @pytest.mark.parametrize("family", [FAMILY_GAMMA_CHAIN, FAMILY_LOGNORMAL_RW])
 def test_targets_read_minus_inf_where_a_rate_would_leave_the_doubles(monkeypatch, family):
     # The last two rates are subnormal, as after a long drift with no data.
@@ -368,7 +374,8 @@ def test_targets_read_minus_inf_where_a_rate_would_leave_the_doubles(monkeypatch
     targets = _captured_targets(monkeypatch)
     ctx = mcmc._FitContext(spec, kidney, augmented=True)
     ctx.update_rates(state, np.random.default_rng(0))
-    ctx.update_beta(state, np.random.default_rng(0), ctx.cum_hazard(state))
+    expb = np.exp(kidney.design_matrix @ state.beta)
+    ctx.update_beta(state, np.random.default_rng(0), expb, ctx.cum_hazard(state))
     *rate_targets, _, age = targets
     # finite at the current point, even where 1 / lambda_{j-1} overflows;
     # -inf where e^x underflows to 0 or overflows
@@ -449,7 +456,7 @@ def test_imputed_values_exceed_censor_times():
     data = _partially_censored_dataset(S1, 200, 4)
     spec = ModelSpec(FAMILY_SIMPLE, GRID4)
     state = initial_state(spec, data)
-    impute_censored(state, spec, data, np.random.default_rng(1))
+    mcmc._FitContext(spec, data, augmented=True).impute(state, np.random.default_rng(1))
     cens = ~data.event_flags
     assert np.all(state.times[cens] > data.marginal_times[cens])
     assert np.all(state.times[~cens] == data.marginal_times[~cens])
@@ -462,7 +469,7 @@ def test_imputation_memoryless_under_constant_rates():
     spec = ModelSpec(FAMILY_SIMPLE, GRID4)
     state = initial_state(spec, data)
     state.rates = np.full(4, c)
-    impute_censored(state, spec, data, np.random.default_rng(3))
+    mcmc._FitContext(spec, data, augmented=True).impute(state, np.random.default_rng(3))
     res = stats.kstest(state.times - 1.5, "expon", args=(0, 1 / c))
     assert res.pvalue > 0.001
 
@@ -471,7 +478,7 @@ def test_imputation_beyond_last_cut_is_finite():
     data = SurvivalDataset([SurvivalRecord(1, 1, None, 0, 50.0)])
     spec = ModelSpec(FAMILY_SIMPLE, GRID4)
     state = initial_state(spec, data)
-    impute_censored(state, spec, data, np.random.default_rng(23))
+    mcmc._FitContext(spec, data, augmented=True).impute(state, np.random.default_rng(23))
     assert np.isfinite(state.times[0]) and state.times[0] > 50.0
 
 
@@ -481,7 +488,7 @@ def test_imputation_zero_tail_aborts_chain():
     state = initial_state(spec, data)
     state.rates = np.array([1.0, 1.0, 1.0, 0.0])
     with pytest.raises(Exception, match="zero-rate tail"):
-        impute_censored(state, spec, data, np.random.default_rng(2))
+        mcmc._FitContext(spec, data, augmented=True).impute(state, np.random.default_rng(2))
 
 
 def test_overflowing_imputation_aborts_at_once_naming_the_record():
@@ -563,6 +570,17 @@ def test_bad_seed_is_rejected_up_front():
     for good in (0, 7, np.int64(7), np.uint32(7)):
         seed = McmcConfig(seed=good).seed
         assert seed == good and type(seed) is int  # chain metadata is written as JSON
+
+
+@pytest.mark.parametrize("name", ["n_chains", "burn_in", "n_iter", "thin"])
+def test_chain_layout_must_be_integers(name):
+    # a float n_iter would construct, then fail inside run_chain with a bare
+    # TypeError; a numpy integer would run, then fail in write_metadata
+    for bad in (100.0, "100", None):
+        with pytest.raises(ValueError, match=name):
+            McmcConfig(**{name: bad})
+    value = getattr(McmcConfig(**{name: np.int64(1)}), name)
+    assert value == 1 and type(value) is int
 
 
 @pytest.mark.parametrize(
