@@ -7,11 +7,15 @@ implementation of each update.
 
 Each sweep updates, in this fixed order: imputed censored times, the rates
 (conjugate Gamma draws where the prior is conjugate, slice sampling
-otherwise), and, for the frailty families, two more blocks:
+otherwise), and, for the frailty families, three more blocks:
 
 * (eta, z), partially collapsed: eta is sliced on the log scale with the
   frailties integrated out, then every frailty takes its exact Gamma draw
   given the new eta (van Dyk & Park 2008);
+* one rescale of the frailties against the baseline rates, sliced on
+  s = log c along (e^s z, log lambda - s), which leaves every z_i lambda_j
+  and so the likelihood unchanged: a group move (Liu & Sabatti 2000) that
+  interweaves the frailty scale with the rates (Yu & Meng 2011);
 * one centred slice move per coefficient, along
   (beta_k + delta, log lambda - delta * xbar_k) with xbar_k the column mean
   of the design matrix, so the hazard changes only through x_k - xbar_k.
@@ -36,15 +40,17 @@ bracket grows by its width up to 50 total expansions (an exceeded cap simply
 falls back to the current bracket) and proposals shrink toward the current
 point until one lands inside the slice.  Positive parameters are updated on
 the log scale with the Jacobian included.  Each slice coordinate (a log-rate
-or xi_j, log eta, a coefficient's shift) has its own width: 1.0 during
-burn-in, then frozen at ``_WIDTH_PER_JUMP`` times the coordinate's mean
-burn-in jump |x1 - x0|, so the retained draws come from one fixed kernel
-(Neal 2003, section 4.4).  The kernel reads its uniforms from blocks of
-``_UNIFORM_BLOCK`` doubles drawn from the chain's generator.
+or xi_j, log eta, the frailty rescale's log c, a coefficient's shift) has
+its own width: 1.0 during burn-in, then frozen at ``_WIDTH_PER_JUMP`` times
+the coordinate's mean burn-in jump |x1 - x0|, so the retained draws come
+from one fixed kernel (Neal 2003, section 4.4).  The kernel reads its
+uniforms from blocks of ``_UNIFORM_BLOCK`` doubles drawn from the chain's
+generator.
 
 A rate whose e^x would not be a positive, finite double has density zero:
-the rate targets, and the coefficient moves that rescale every rate, read
--inf there.
+the rate targets, and the coefficient and frailty moves that rescale every
+rate, read -inf there.  The frailty rescale reads -inf, too, where a
+positive frailty would leave the positive, finite doubles.
 """
 
 from __future__ import annotations
@@ -114,18 +120,21 @@ class McmcConfig:
     """Chain layout, seeding and likelihood mode.
 
     The four layout fields and ``seed`` are Python or numpy integers, stored
-    as ``int``.  ``n_iter`` counts post-burn-in iterations; ``n_iter // thin``
+    as ``int``; a value out of range is rejected with a message naming its
+    field.  ``n_iter`` counts post-burn-in iterations; ``n_iter // thin``
     draws are retained, so ``thin`` may not exceed ``n_iter``; ``seed`` is
     non-negative.  The samplers are fixed per block: the simple family's
     rates take their exact conjugate Gamma draw, whose ``(d, R)`` are
     computed once per chain when no time is imputed; the frailty families
-    draw (eta, z) as one collapsed block and move each coefficient along its
-    centred covariate; each slice coordinate steps out with width 1.0
-    during burn-in and, after it, with a width tuned from its burn-in jumps
-    (recorded as ``slice_widths`` in the chain metadata), by at most 50
-    expansions.
-    ``impute=False`` switches censored records to their analytic
-    log-survival contribution instead of data augmentation.
+    draw (eta, z) as one collapsed block, then rescale every frailty against
+    the rates (z -> c z, lambda -> lambda / c) and move each coefficient
+    along its centred covariate; each slice coordinate steps out with width
+    1.0 during burn-in and, after it, with a width tuned from its burn-in
+    jumps (recorded as ``slice_widths`` in the chain metadata, the rescale's
+    as ``frailty_scale``), by at most 50 expansions.
+    ``impute`` is a Python or numpy bool, stored as ``bool``; ``False``
+    switches censored records to their analytic log-survival contribution
+    instead of data augmentation.
     """
 
     n_chains: int = 2
@@ -136,19 +145,21 @@ class McmcConfig:
     impute: bool = True
 
     def __post_init__(self):
-        for name in ("n_chains", "burn_in", "n_iter", "thin", "seed"):
+        lowest = {"n_chains": 1, "burn_in": 0, "n_iter": 1, "thin": 1, "seed": 0}
+        for name, least in lowest.items():
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
             object.__setattr__(self, name, int(value))  # JSON-safe in chain metadata
-        if self.n_chains < 1 or self.n_iter < 1 or self.thin < 1 or self.burn_in < 0:
-            raise ValueError("chain layout values out of range")
         if self.thin > self.n_iter:
             raise ValueError(
                 f"thin ({self.thin}) exceeds n_iter ({self.n_iter}); no draw would be retained"
             )
-        if self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not isinstance(self.impute, (bool, np.bool_)):
+            raise ValueError(f"impute must be a bool, got {self.impute!r}")
+        object.__setattr__(self, "impute", bool(self.impute))
 
 
 @dataclass
@@ -283,10 +294,10 @@ class _FitContext:
             self.monitor_names += [f"beta_{n}" for n in data.covariate_names]
             self.monitor_names += ["eta", "kappa"]
         # Slice coordinates, named after their parameter: the rates (log
-        # lambda_j or xi_j), each coefficient's shift delta, then log eta.
-        # Their jumps are summed on every sweep and read once, when
-        # run_chain freezes the widths after burn-in.
-        self.slice_names = self.monitor_names[:-1] if spec.is_frailty else []
+        # lambda_j or xi_j), each coefficient's shift delta, log eta, then
+        # the frailty rescale's log c.  Their jumps are summed on every sweep
+        # and read once, when run_chain freezes the widths after burn-in.
+        self.slice_names = self.monitor_names[:-1] + ["frailty_scale"] if spec.is_frailty else []
         self.slice_widths = [1.0] * len(self.slice_names)
         self.jump_sums = [0.0] * len(self.slice_names)
 
@@ -448,17 +459,59 @@ class _FitContext:
             return v - float((eta + counts) @ np.log(eta + a_sum))
 
         s0 = math.log(state.eta)
-        s1 = update_scalar_slice(logf, s0, rng, width=self.slice_widths[-1])
-        self.jump_sums[-1] += abs(s1 - s0)
+        s1 = update_scalar_slice(logf, s0, rng, width=self.slice_widths[-2])
+        self.jump_sums[-2] += abs(s1 - s0)
         state.eta = math.exp(s1)
         self.update_z(state, rng, a_sum)
 
-    def update_beta(self, state, rng, expb, cumhaz):
+    def update_scale(self, state, rng):
+        """Rescale move: (z, log lambda) -> (e^s z, log lambda - s), all at once.
+
+        Every z_i lambda_j, and so the likelihood, is unchanged.  On s the
+        target is the frailty prior with its Jacobian, eta n s - eta e^s
+        sum_i z_i, plus the rate prior's change at the anchor: -alpha s -
+        alpha e^{x_1 - s} for the gamma chain, -(x_1 - s)^2 / (2 nu) for the
+        random walk, x_1 = log lambda_1.  It reads -inf wherever a frailty or
+        a rate would leave the positive, finite doubles; a frailty of 0.0
+        stays 0.0.
+        """
+        eta, n = state.eta, self.n_sub
+        gamma_chain = self.spec.family == FAMILY_GAMMA_CHAIN
+        a, nu = self.h.alpha, self.h.nu
+        with np.errstate(divide="ignore"):  # log 0.0 = -inf, and e^{-inf + s} = 0.0
+            logz = np.log(state.z)
+        lz = logz.tolist()
+        lz_lo, lz_hi = min(lz), max(lz)
+        if lz_lo == -math.inf:
+            lz_lo = min((v for v in lz if v > -math.inf), default=math.inf)
+        z_sum = math.fsum(state.z.tolist())
+        log_z_sum = math.log(z_sum) if z_sum > 0.0 else -math.inf
+        xi = np.log(state.rates)
+        xl = xi.tolist()
+        x1 = xl[0]
+        s_lo = max(_LOG_MIN - lz_lo, max(xl) - _LOG_MAX)
+        s_hi = min(_LOG_MAX - lz_hi, min(xl) - _LOG_MIN)
+
+        def logf(s):
+            if not s_lo <= s <= s_hi or s + log_z_sum > _LOG_MAX:
+                return -math.inf
+            v = eta * n * s - eta * math.exp(s + log_z_sum)
+            if gamma_chain:
+                return v - a * s - a * math.exp(x1 - s)
+            return v - (x1 - s) ** 2 / (2.0 * nu)
+
+        s1 = update_scalar_slice(logf, 0.0, rng, width=self.slice_widths[-1])
+        self.jump_sums[-1] += abs(s1)
+        state.z = np.exp(logz + s1)
+        state.rates = np.exp(xi - s1)
+
+    def update_beta(self, state, rng, weight):
         """Centred move per covariate: (beta_k + delta, log lambda - delta xbar_k).
 
         Along that line the hazard moves only through x_k - xbar_k.  The
         target is in (beta, log lambda) coordinates, so it carries the rate
         prior's change at the anchor lambda_1 (or xi_1) and its Jacobian.
+        ``weight`` is each record's z e^{x' beta} H at the current state.
         """
         if not self.p:
             return
@@ -466,8 +519,7 @@ class _FitContext:
         gamma_chain = self.spec.family == FAMILY_GAMMA_CHAIN
         a, nu = self.h.alpha, self.h.nu
         widths, jumps = self.slice_widths, self.jump_sums
-        # a_i = z e^{x' beta} H_i; the move scales it by e^{delta (x_ik - xbar_k)}.
-        weight = state.z[self.subj] * expb * cumhaz
+        # The move scales each weight by e^{delta (x_ik - xbar_k)}.
         beta = state.beta.tolist()
         # Every move shifts all log-rates alike; `moved` is their total shift.
         xi = np.log(state.rates)
@@ -516,11 +568,14 @@ class _FitContext:
             self.impute(state, rng)
         self.update_rates(state, rng)
         if self.spec.is_frailty:
-            # beta and the rates are fixed until update_beta, which moves them.
+            # beta and the rates are fixed until update_scale; the rescale
+            # leaves each record's weight z e^{x' beta} H as it is.
             expb = np.exp(self.X @ state.beta)
             cumhaz = self.cum_hazard(state)
             self.update_eta(state, rng, expb, cumhaz)
-            self.update_beta(state, rng, expb, cumhaz)
+            weight = state.z[self.subj] * expb * cumhaz
+            self.update_scale(state, rng)
+            self.update_beta(state, rng, weight)
 
     def monitor_values(self, state):
         vals = list(state.rates)

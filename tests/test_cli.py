@@ -103,6 +103,7 @@ def test_fit_writes_all_outputs(tmp_path, capsys):
     meta = json.loads((out / "chain_1_meta.json").read_text())
     assert meta["manifest"] == "manifest.json"
     assert "wall_time_s" in meta
+    assert meta["config"]["impute"] is True
     header = (out / "chain_1.csv").read_text().splitlines()[0]
     assert header.split(",")[:4] == ["lambda[1]", "lambda[2]", "lambda[3]", "lambda[4]"]
 
@@ -124,7 +125,7 @@ def test_fit_statistical_outputs_reproducible(tmp_path):
         # one tuned step width per slice coordinate, by parameter name
         assert set(ma["slice_widths"]) == {
             "lambda[1]", "lambda[2]", "lambda[3]", "lambda[4]", "lambda[5]",
-            "beta_sex", "beta_age", "eta",
+            "beta_sex", "beta_age", "eta", "frailty_scale",
         }
         assert all(w > 0.0 for w in ma["slice_widths"].values())
     ma = json.loads((a / "manifest.json").read_text())
@@ -167,6 +168,22 @@ def test_fit_negative_seed_is_validation_error(tmp_path, capsys):
                "--out", str(tmp_path / "x")])
     assert rc == 2
     assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--chains", "0", "n_chains must be at least 1, got 0"),
+        ("--thin", "0", "thin must be at least 1, got 0"),
+        ("--burnin", "-1", "burn_in must be at least 0, got -1"),
+    ],
+)
+def test_fit_out_of_range_layout_names_its_field(tmp_path, capsys, flag, value, message):
+    args = {"--chains": "1", "--burnin": "10", "--iters": "100", flag: value}
+    rc = main(["fit", "--model", "simple", "--data", "kidney", "--m", "3", "--seed", "1",
+               "--out", str(tmp_path / "x"), *[v for item in args.items() for v in item]])
+    assert rc == 2
+    assert message in capsys.readouterr().err
 
 
 def test_fit_dataset_without_records_is_validation_error(tmp_path, capsys):

@@ -185,6 +185,11 @@ def _captured_targets(monkeypatch):
     return targets
 
 
+def _record_weights(ctx, state):
+    """Each record's z e^{x' beta} H at the state, as the sweep hands them on."""
+    return state.z[ctx.subj] * np.exp(ctx.X @ state.beta) * ctx.cum_hazard(state)
+
+
 def _kidney_state(spec, rng):
     kidney = load_kidney()
     state = initial_state(spec, kidney)
@@ -303,8 +308,7 @@ def test_centred_beta_target_is_the_joint_along_the_shift(monkeypatch, family, a
     kidney, state = _kidney_state(spec, np.random.default_rng(68))
     targets = _captured_targets(monkeypatch)
     ctx = mcmc._FitContext(spec, kidney, augmented)
-    expb = np.exp(kidney.design_matrix @ state.beta)
-    ctx.update_beta(state, np.random.default_rng(0), expb, ctx.cum_hazard(state))
+    ctx.update_beta(state, np.random.default_rng(0), _record_weights(ctx, state))
     xbar = kidney.design_matrix.mean(axis=0)
     assert len(targets) == 2 and xbar[1] > 40.0  # age is far off centre
 
@@ -321,6 +325,65 @@ def test_centred_beta_target_is_the_joint_along_the_shift(monkeypatch, family, a
         diff = np.array(got) - np.array(want)
         assert np.ptp(want) > 1.0
         assert np.ptp(diff) < 1e-8, (k, np.ptp(diff))
+
+
+@pytest.mark.parametrize("augmented", [True, False], ids=["augmented", "marginal"])
+@pytest.mark.parametrize("family", [FAMILY_GAMMA_CHAIN, FAMILY_LOGNORMAL_RW])
+def test_frailty_rescale_target_is_the_joint_along_the_orbit(monkeypatch, family, augmented):
+    # (e^s z, log lambda - s): the target differs from the joint density of
+    # the moved state in (z, log lambda) coordinates, whose Jacobian is
+    # e^{n s}, by a constant.  A strong rate prior makes its term visible.
+    spec = ModelSpec(family, KIDNEY_GRID, HyperParams(alpha=3.0, nu=0.5))
+    kidney, state = _kidney_state(spec, np.random.default_rng(70))
+    targets = _captured_targets(monkeypatch)
+    mcmc._FitContext(spec, kidney, augmented).update_scale(state, np.random.default_rng(0))
+    (logf,) = targets
+    got, want = [], []
+    for s in np.linspace(-0.8, 0.8, 21):
+        moved = state.copy()
+        moved.z = state.z * np.exp(s)
+        moved.rates = state.rates * np.exp(-s)
+        jacobian = 38 * s + (np.sum(np.log(moved.rates)) if family == FAMILY_GAMMA_CHAIN else 0.0)
+        got.append(logf(s))
+        want.append(joint_log_density(moved, spec, kidney, augmented=augmented) + jacobian)
+    diff = np.array(got) - np.array(want)
+    assert np.ptp(want) > 1.0
+    assert np.ptp(diff) < 1e-8, np.ptp(diff)
+
+
+@pytest.mark.parametrize("family", [FAMILY_GAMMA_CHAIN, FAMILY_LOGNORMAL_RW])
+def test_frailty_rescale_keeps_every_frailty_times_rate(family):
+    spec = ModelSpec(family, KIDNEY_GRID)
+    kidney, state = _kidney_state(spec, np.random.default_rng(71))
+    ctx = mcmc._FitContext(spec, kidney, augmented=True)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        before = np.outer(state.z, state.rates)
+        z0 = state.z.copy()
+        ctx.update_scale(state, rng)
+        scale = state.z / z0
+        assert not np.allclose(scale, 1.0)  # the move moved
+        np.testing.assert_allclose(scale, scale[0], rtol=1e-13)
+        np.testing.assert_allclose(np.outer(state.z, state.rates), before, rtol=1e-13)
+    assert ctx.jump_sums[-1] > 0.0
+
+
+@pytest.mark.parametrize("family", [FAMILY_GAMMA_CHAIN, FAMILY_LOGNORMAL_RW])
+def test_frailty_underflowed_to_zero_passes_the_rescale(family):
+    # A frailty that underflowed to 0.0 (as under a huge H) has log -inf; the
+    # move must neither warn (RuntimeWarnings are errors here) nor abort.
+    spec = ModelSpec(family, KIDNEY_GRID)
+    kidney, state = _kidney_state(spec, np.random.default_rng(72))
+    state.z[3] = 0.0
+    state.z[5] = 3e-309  # subnormal
+    ctx = mcmc._FitContext(spec, kidney, augmented=True)
+    rng = mcmc._ChainSource(np.random.default_rng(6))
+    for _ in range(50):
+        ctx.update_scale(state, rng)
+    assert state.z[3] == 0.0
+    assert np.all(state.z[np.arange(38) != 3] > 0.0) and np.all(np.isfinite(state.z))
+    assert np.all(state.rates > 0.0) and np.all(np.isfinite(state.rates))
+    ctx.sweep(state, rng)
 
 
 @pytest.mark.parametrize("family", [FAMILY_GAMMA_CHAIN, FAMILY_LOGNORMAL_RW])
@@ -374,8 +437,7 @@ def test_targets_read_minus_inf_where_a_rate_would_leave_the_doubles(monkeypatch
     targets = _captured_targets(monkeypatch)
     ctx = mcmc._FitContext(spec, kidney, augmented=True)
     ctx.update_rates(state, np.random.default_rng(0))
-    expb = np.exp(kidney.design_matrix @ state.beta)
-    ctx.update_beta(state, np.random.default_rng(0), expb, ctx.cum_hazard(state))
+    ctx.update_beta(state, np.random.default_rng(0), _record_weights(ctx, state))
     *rate_targets, _, age = targets
     # finite at the current point, even where 1 / lambda_{j-1} overflows;
     # -inf where e^x underflows to 0 or overflows
@@ -400,12 +462,13 @@ def test_slice_widths_are_one_in_burn_in_then_frozen_and_recorded(monkeypatch):
     monkeypatch.setattr(mcmc, "update_scalar_slice", recording)
     spec = ModelSpec(FAMILY_GAMMA_CHAIN, KIDNEY_GRID)
     store = run_chain(spec, load_kidney(), McmcConfig(n_chains=1, burn_in=40, n_iter=60, seed=2))
-    # per sweep: ten rates, eta, then the two coefficients
-    per_sweep = np.array(widths).reshape(100, 13)
+    # per sweep: ten rates, eta, the frailty rescale, then the two coefficients
+    per_sweep = np.array(widths).reshape(100, 14)
     assert np.all(per_sweep[:40] == 1.0)
     assert np.all(per_sweep[40:] == per_sweep[40])
-    assert np.unique(per_sweep[40]).size == 13
-    names = [f"lambda[{j}]" for j in range(1, 11)] + ["eta", "beta_sex", "beta_age"]
+    assert np.unique(per_sweep[40]).size == 14
+    names = [f"lambda[{j}]" for j in range(1, 11)]
+    names += ["eta", "frailty_scale", "beta_sex", "beta_age"]
     assert store.meta["slice_widths"] == dict(zip(names, per_sweep[40].tolist()))
 
     no_burn_in = McmcConfig(n_chains=1, burn_in=0, n_iter=5, seed=2)
@@ -581,6 +644,25 @@ def test_chain_layout_must_be_integers(name):
             McmcConfig(**{name: bad})
     value = getattr(McmcConfig(**{name: np.int64(1)}), name)
     assert value == 1 and type(value) is int
+
+
+@pytest.mark.parametrize(
+    "name, value, least",
+    [("n_chains", 0, 1), ("burn_in", -1, 0), ("n_iter", 0, 1), ("thin", 0, 1), ("seed", -1, 0)],
+)
+def test_out_of_range_layout_names_its_field(name, value, least):
+    with pytest.raises(ValueError, match=f"^{name} must be at least {least}, got {value}$"):
+        McmcConfig(**{name: value})
+
+
+def test_impute_must_be_a_bool():
+    # 'no' is truthy: unchecked, it would impute and be echoed as "no"
+    for bad in ("no", 0, 1, None, 1.0):
+        with pytest.raises(ValueError, match="impute"):
+            McmcConfig(impute=bad)
+    for good, want in ((True, True), (False, False), (np.bool_(False), False)):
+        value = McmcConfig(impute=good).impute
+        assert value is want  # chain metadata is written as JSON true / false
 
 
 @pytest.mark.parametrize(
@@ -806,7 +888,7 @@ def _assert_one_sweep_invariant(family, impute, covariate, width=1.0):
         ctx = mcmc._FitContext(spec, data, impute)
         ctx.slice_widths = [width] * len(ctx.slice_widths)
         ctx.sweep(state, mcmc._ChainSource(chain_rng(rep, 1)))
-        swept.append(dict(zip(ctx.monitor_names, ctx.monitor_values(state))))
+        swept.append(dict(zip(ctx.monitor_names, ctx.monitor_values(state)), z1=state.z[0]))
     prior = [_prior_draw(spec, rng) for _ in range(JOINT_REPS)]
     checks = {
         "lambda[1]": [p[0][0] for p in prior],
@@ -815,6 +897,7 @@ def _assert_one_sweep_invariant(family, impute, covariate, width=1.0):
     if spec.is_frailty:
         checks["beta_x"] = [p[1][0] for p in prior]
         checks["eta"] = [p[3] for p in prior]
+        checks["z1"] = [p[2][0] for p in prior]  # subject 1's frailty
     for name, direct in checks.items():
         res = stats.ks_2samp([s[name] for s in swept], direct)
         assert res.pvalue > 1e-3, (name, res.pvalue)
