@@ -431,7 +431,8 @@ class _FitContext:
         state.rates = np.exp(xi)
 
     def update_z(self, state, rng, a_sum):
-        # standard_gamma(a) * s: the doubles of gamma(a, s), one call cheaper
+        # standard_gamma(a) * s gives the doubles of gamma(a, s), which costs
+        # more: it broadcasts a second array parameter.
         state.z = rng.standard_gamma(state.eta + self.sub_counts) * (1.0 / (state.eta + a_sum))
 
     def update_eta(self, state, rng, expb, cumhaz):
@@ -612,8 +613,8 @@ class _ChainSource:
 
     ``random()`` returns the next double of a block drawn with
     ``gen.random(_UNIFORM_BLOCK)``; ``random(size)``, ``gamma`` and
-    ``standard_gamma`` draw from the generator itself.  The sweep's blocks take this or a plain
-    ``Generator``.
+    ``standard_gamma`` draw from the generator itself.  The sweep's blocks
+    take this or a plain ``Generator``.
     """
 
     __slots__ = ("gen", "gamma", "standard_gamma", "_next")

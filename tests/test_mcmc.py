@@ -754,8 +754,8 @@ def test_standard_gamma_times_scale_draws_the_doubles_of_gamma():
         shape = np.random.default_rng(seed + 1).uniform(0.01, 40.0, 38)
         scale = 1.0 / np.random.default_rng(seed + 2).uniform(0.1, 500.0, 38)
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert np.array_equal(a.gamma(shape, scale), b.standard_gamma(shape) * scale)
-        assert np.array_equal(a.gamma(shape[:5], scale[:5]), b.standard_gamma(shape[:5]) * scale[:5])
+        for n in (38, 5):
+            assert np.array_equal(a.gamma(shape[:n], scale[:n]), b.standard_gamma(shape[:n]) * scale[:n])
 
 
 def test_chain_source_hands_out_scalar_uniforms_in_blocks():
