@@ -257,11 +257,6 @@ class _FitContext:
         self.events = data.event_flags
         self.cens_idx = np.flatnonzero(~self.events)
         self.marg_times = data.marginal_times
-        # Each censoring bound's interval index and offset into it, so that
-        # imputation reads H at the bounds from the ladder alone.
-        bounds = self.marg_times[self.cens_idx]
-        self.cens_at = np.searchsorted(self.cuts, bounds, side="left") - 1
-        self.cens_offset = bounds - self.cuts[self.cens_at]
         # Density indicator per record: with augmentation every working time
         # is scored as an event; otherwise only true events are.
         dens = np.ones(data.n_records) if augmented else self.events.astype(float)
@@ -273,17 +268,14 @@ class _FitContext:
             (float(k), float(np.count_nonzero(counts > k))) for k in range(counts.max(initial=0))
         ]
         # The centred beta move, per covariate: x_k - xbar_k (xbar_k the
-        # column mean over records), xbar_k, its range, its sum over density
-        # records, and, for a column of exactly two values, each record's
-        # value code and the two values.
+        # column mean over records), xbar_k, its range, and its sum over
+        # density records.
         xbar = self.X.mean(axis=0) if data.n_records else np.zeros(self.p)
         self.centred = []
         for k in range(self.p):
             xc = self.X[:, k] - xbar[k]
             lo, hi = xc.min(initial=0.0), xc.max(initial=0.0)
-            values, codes = np.unique(xc, return_inverse=True)
-            two = (codes, *values.tolist()) if values.size == 2 else None
-            self.centred.append((xc, float(xbar[k]), float(lo), float(hi), float(dens @ xc), two))
+            self.centred.append((xc, float(xbar[k]), float(lo), float(hi), float(dens @ xc)))
         # The simple family's (d, R) depend only on the working times, which
         # move only when censored times are imputed; otherwise the first
         # rate update computes them and every later sweep reuses them.
@@ -337,10 +329,11 @@ class _FitContext:
         with np.errstate(over="ignore"):  # checked below
             cum = hazard_ladder(self.widths, rates)
             out = cum_hazard_at(self.cuts, cum, rates, self.working_times(state))
-        if not np.isfinite(out).all():
-            bad = int(np.flatnonzero(~np.isfinite(out))[0])
-            where = self.describe_record(bad)
-            raise FloatingPointError(f"cumulative hazard at the {where} is not finite")
+        bad = np.flatnonzero(~np.isfinite(out))
+        if bad.size:
+            raise FloatingPointError(
+                f"cumulative hazard at the {self.describe_record(int(bad[0]))} is not finite"
+            )
         return out
 
     # -- sweep pieces ------------------------------------------------------
@@ -365,14 +358,14 @@ class _FitContext:
         else:
             w = np.ones(idx.size)
         u = np.maximum(rng.random(idx.size), np.nextafter(0.0, 1.0))
-        at = self.cens_at
+        bounds = self.marg_times[idx]
         with np.errstate(over="ignore"):  # checked below
             cum = hazard_ladder(self.widths, rates)
-            level = cum[at] + rates[at] * self.cens_offset - np.log1p(-u) / w
+            level = cum_hazard_at(self.cuts, cum, rates, bounds) - np.log1p(-u) / w
             times = inverse_cum_hazard_at(self.cuts, cum, rates, level)
-        if not np.isfinite(times).all():
-            bad = int(idx[np.flatnonzero(~np.isfinite(times))[0]])
-            raise FloatingPointError(f"{self.describe_record(bad)} is not finite")
+        bad = np.flatnonzero(~np.isfinite(times))
+        if bad.size:
+            raise FloatingPointError(f"{self.describe_record(int(idx[bad[0]]))} is not finite")
         state.times[idx] = times
 
     def update_rates(self, state, rng):
@@ -431,9 +424,7 @@ class _FitContext:
         state.rates = np.exp(xi)
 
     def update_z(self, state, rng, a_sum):
-        # standard_gamma(a) * s gives the doubles of gamma(a, s), which costs
-        # more: it broadcasts a second array parameter.
-        state.z = rng.standard_gamma(state.eta + self.sub_counts) * (1.0 / (state.eta + a_sum))
+        state.z = rng.gamma(state.eta + self.sub_counts, 1.0 / (state.eta + a_sum))
 
     def update_eta(self, state, rng, expb, cumhaz):
         """Collapsed (eta, z) block: eta from its z-marginal, then z | eta.
@@ -541,15 +532,15 @@ class _FitContext:
                 xi1=xi1 + moved,
                 shift_lo=_LOG_MIN - xi_lo - moved,
                 shift_hi=_LOG_MAX - xi_hi - moved,
-                hazard=_exp_weight_sum(self.centred[k], weight),
+                w=weight,
             ):
-                _, xbar, lo, hi, sx, _ = col
+                xc, xbar, lo, hi, sx = col
                 if delta * (hi if delta > 0.0 else lo) > room:
                     return -math.inf
                 shift = -delta * xbar
                 if not shift_lo <= shift <= shift_hi:
                     return -math.inf
-                v = delta * sx - hazard(delta) - (b + delta) ** 2 / (2.0 * var)
+                v = delta * sx - float(w @ np.exp(delta * xc)) - (b + delta) ** 2 / (2.0 * var)
                 if not gamma_chain:
                     return v - (xi1 + shift) ** 2 / (2.0 * nu)
                 return v + a * shift - a * math.exp(xi1 + shift)
@@ -586,20 +577,6 @@ class _FitContext:
         return vals
 
 
-def _exp_weight_sum(col, weight):
-    """``delta -> sum_i weight_i e^{delta xc_i}`` over one centred column.
-
-    A column of exactly two values sums two exponentials of the weight
-    totals of its two groups, formed here once, in plain floats.
-    """
-    xc, two = col[0], col[5]
-    if two is None:
-        return lambda delta: float(weight @ np.exp(delta * xc))
-    codes, c0, c1 = two
-    g0, g1 = np.bincount(codes, weights=weight, minlength=2).tolist()
-    return lambda delta: g0 * math.exp(delta * c0) + g1 * math.exp(delta * c1)
-
-
 # -- chain runner ------------------------------------------------------------
 
 
@@ -612,17 +589,16 @@ class _ChainSource:
     """A chain's generator, with scalar uniforms handed out of blocks.
 
     ``random()`` returns the next double of a block drawn with
-    ``gen.random(_UNIFORM_BLOCK)``; ``random(size)``, ``gamma`` and
-    ``standard_gamma`` draw from the generator itself.  The sweep's blocks
-    take this or a plain ``Generator``.
+    ``gen.random(_UNIFORM_BLOCK)``; ``random(size)`` and ``gamma`` draw from
+    the generator itself.  The sweep's blocks take this or a plain
+    ``Generator``.
     """
 
-    __slots__ = ("gen", "gamma", "standard_gamma", "_next")
+    __slots__ = ("gen", "gamma", "_next")
 
     def __init__(self, gen: np.random.Generator):
         self.gen = gen
         self.gamma = gen.gamma
-        self.standard_gamma = gen.standard_gamma
         blocks = iter(lambda: gen.random(_UNIFORM_BLOCK).tolist(), None)
         self._next = itertools.chain.from_iterable(blocks).__next__
 

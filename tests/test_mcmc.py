@@ -747,17 +747,6 @@ def test_random_and_uniform_draw_the_same_doubles():
         assert [a.uniform() for _ in range(50)] == [b.random() for _ in range(50)]
 
 
-def test_standard_gamma_times_scale_draws_the_doubles_of_gamma():
-    # The frailty draw z | eta is standard_gamma(shape) * scale, which must
-    # give the doubles Generator.gamma(shape, scale) gives, for array shapes.
-    for seed in (0, 5, 2**40):
-        shape = np.random.default_rng(seed + 1).uniform(0.01, 40.0, 38)
-        scale = 1.0 / np.random.default_rng(seed + 2).uniform(0.1, 500.0, 38)
-        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-        for n in (38, 5):
-            assert np.array_equal(a.gamma(shape[:n], scale[:n]), b.standard_gamma(shape[:n]) * scale[:n])
-
-
 def test_chain_source_hands_out_scalar_uniforms_in_blocks():
     # Scalar uniforms come from blocks of gen.random(256); sized and Gamma
     # draws go to the generator between blocks.

@@ -5,8 +5,7 @@ exposure rows sum to the times, ``(d, R)`` account for every event and every
 unit of exposure, quantiles invert the CDF, and the zeros-trick likelihood
 differs from the direct one by a constant free of the parameters.  They
 also pin the sampler's trusted evaluators of H and its inverse to the
-validated ``PiecewiseExponential`` methods, bit for bit, and its two-value
-coefficient target to the dense sum it replaces.
+validated ``PiecewiseExponential`` methods, bit for bit.
 """
 
 import re
@@ -16,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pexsurv import mcmc
 from pexsurv.data import SurvivalDataset, SurvivalRecord
 from pexsurv.distribution import (
     PiecewiseExponential,
@@ -144,32 +142,3 @@ def test_trusted_evaluators_equal_the_distribution_methods(grid, draw, ts, zero_
             pe.inverse_cum_hazard(past)
         with pytest.raises(UnreachableMassError, match="saturates"):
             inverse_cum_hazard_at(cuts, cum, rates, past)
-
-
-@SETTINGS
-@given(
-    values=st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)).filter(
-        lambda v: abs(v[0] - v[1]) > 1e-3
-    ),
-    groups=st.lists(st.booleans(), min_size=2, max_size=40),
-    draw=st.data(),
-    reach=st.floats(-1.0, 1.0),
-)
-def test_two_value_coefficient_target_equals_the_dense_sum(values, groups, draw, reach):
-    # A column of two values (as sex) sums two exponentials of group totals;
-    # the dense form is sum_i w_i e^{delta (x_i - xbar)} over every record.
-    groups[:2] = [False, True]
-    recs = [
-        SurvivalRecord(i + 1, 1, 1.0, 1, covariates=(values[g],)) for i, g in enumerate(groups)
-    ]
-    data = SurvivalDataset(recs, covariate_names=("x",))
-    ctx = mcmc._FitContext(ModelSpec(FAMILY_GAMMA_CHAIN, TimeGrid((0.0,))), data, True)
-    col = ctx.centred[0]
-    xc = col[0]
-    assert col[5] is not None and np.unique(xc).size == 2
-    w = np.array(
-        draw.draw(st.lists(st.floats(1e-6, 1e3), min_size=len(groups), max_size=len(groups)))
-    )
-    delta = reach * 300.0 / np.abs(xc).max()  # e^{delta xc} stays within e^{+-300}
-    dense = float(w @ np.exp(delta * xc))
-    assert mcmc._exp_weight_sum(col, w)(delta) == pytest.approx(dense, rel=1e-12)
