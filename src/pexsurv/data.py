@@ -12,8 +12,9 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from importlib import resources
+from itertools import chain, repeat
+from operator import sub
 
 import numpy as np
 
@@ -33,13 +34,14 @@ class DataFormatError(ValueError):
     """Malformed dataset file or inconsistent record collection."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SurvivalRecord:
     """One observation: an event time or a right-censoring time.
 
     ``event == 1`` requires a positive ``time`` and ignores ``censor_time``;
     ``event == 0`` requires ``time is None`` and a positive ``censor_time``.
-    ``covariates`` is ordered like the owning dataset's ``covariate_names``.
+    ``covariates`` is stored as a tuple, ordered like the owning dataset's
+    ``covariate_names``.  Records are slotted, so they have no ``__dict__``.
     """
 
     subject_id: int
@@ -49,21 +51,30 @@ class SurvivalRecord:
     censor_time: float = 0.0
     covariates: tuple[float, ...] = ()
 
-    def __post_init__(self):
-        if self.event not in (0, 1):
-            raise ValueError(f"event must be 0 or 1, got {self.event!r}")
-        if self.event == 1:
-            if self.time is None or not math.isfinite(self.time) or self.time <= 0:
+    def __init__(self, subject_id, replicate_id, time, event, censor_time=0.0, covariates=()):
+        if event not in (0, 1):
+            raise ValueError(f"event must be 0 or 1, got {event!r}")
+        if event == 1:
+            if time is None or not math.isfinite(time) or time <= 0:
                 raise ValueError("event records need a finite positive time")
         else:
-            if self.time is not None:
+            if time is not None:
                 raise ValueError("censored records must leave time unset")
-            if not math.isfinite(self.censor_time) or self.censor_time <= 0:
+            if not math.isfinite(censor_time) or censor_time <= 0:
                 raise ValueError("censored records need a finite positive censor_time")
-        if self.censor_time < 0:
+        if censor_time < 0:
             raise ValueError("censor_time cannot be negative")
-        if not all(map(math.isfinite, self.covariates)):
-            raise ValueError(f"covariates must be finite, got {self.covariates!r}")
+        # a copy, so a caller's list cannot change after the check
+        covariates = tuple(covariates)
+        if covariates and not all(map(math.isfinite, covariates)):
+            raise ValueError(f"covariates must be finite, got {covariates!r}")
+        set_field = object.__setattr__
+        set_field(self, "subject_id", subject_id)
+        set_field(self, "replicate_id", replicate_id)
+        set_field(self, "time", time)
+        set_field(self, "event", event)
+        set_field(self, "censor_time", censor_time)
+        set_field(self, "covariates", covariates)
 
 
 class SurvivalDataset:
@@ -71,26 +82,40 @@ class SurvivalDataset:
 
     Subject ids must form a contiguous integer range (any starting value),
     each ``(subject_id, replicate_id)`` pair may occur once, and covariate
-    arity must match ``covariate_names`` on every record.  Array
-    views used by the model and sampler layers are cached lazily.
+    arity must match ``covariate_names`` on every record.  The array views
+    used by the model and sampler layers (``subject_positions``,
+    ``event_flags``, ``marginal_times`` and ``design_matrix``) are built once,
+    at construction, and checked in bulk.
     """
 
     def __init__(self, records, covariate_names=()):
         self.records: tuple[SurvivalRecord, ...] = tuple(records)
+        records = self.records
         self.covariate_names: tuple[str, ...] = tuple(str(n) for n in covariate_names)
-        p = len(self.covariate_names)
-        for i, r in enumerate(self.records):
-            if len(r.covariates) != p:
-                raise DataFormatError(
-                    f"record {i} has {len(r.covariates)} covariates, expected {p}"
-                )
-        ids = sorted({r.subject_id for r in self.records})
-        if ids and ids != list(range(ids[0], ids[0] + len(ids))):
+        n, p = len(records), len(self.covariate_names)
+        covariates = [r.covariates for r in records]
+        wrong_arity = np.fromiter(map(len, covariates), np.intp, n) != p
+        if wrong_arity.any():
+            i = int(np.argmax(wrong_arity))
+            raise DataFormatError(f"record {i} has {len(covariates[i])} covariates, expected {p}")
+        subject_ids = [r.subject_id for r in records]
+        ids = set(subject_ids)
+        base = min(ids, default=0)
+        if ids and max(ids) - base != len(ids) - 1:
             raise DataFormatError("subject ids must form a contiguous integer range")
-        self._id_base = ids[0] if ids else 0
-        self._n_subjects = len(ids)
+        self.n_subjects: int = len(ids)
+        #: 0-based contiguous subject index per record
+        self.subject_positions = np.fromiter(map(sub, subject_ids, repeat(base)), np.intp, n)
+        self.event_flags = np.fromiter((r.event == 1 for r in records), bool, n)
+        #: event time for events, censoring time for censored records
+        self.marginal_times = np.array(
+            [r.time if r.event == 1 else r.censor_time for r in records], dtype=float
+        )
+        self.design_matrix = np.fromiter(
+            chain.from_iterable(covariates), float, n * p
+        ).reshape(n, p)
         try:
-            replicate = np.array([r.replicate_id for r in self.records], dtype=np.int64)
+            replicate = np.array([r.replicate_id for r in records], dtype=np.int64)
         except OverflowError:
             raise DataFormatError("replicate ids must fit in 64 bits") from None
         # stable sort by (subject, replicate): a repeated pair is adjacent and
@@ -100,7 +125,7 @@ class SurvivalDataset:
         same = (np.diff(subject[order]) == 0) & (np.diff(replicate[order]) == 0)
         if same.any():
             i = int(order[np.argmax(same) + 1])
-            r = self.records[i]
+            r = records[i]
             raise DataFormatError(
                 f"record {i} repeats subject {r.subject_id}, replicate {r.replicate_id}"
             )
@@ -121,32 +146,6 @@ class SurvivalDataset:
     @property
     def n_records(self) -> int:
         return len(self.records)
-
-    @property
-    def n_subjects(self) -> int:
-        return self._n_subjects
-
-    @cached_property
-    def subject_positions(self) -> np.ndarray:
-        """0-based contiguous subject index per record."""
-        return np.array([r.subject_id - self._id_base for r in self.records], dtype=np.intp)
-
-    @cached_property
-    def event_flags(self) -> np.ndarray:
-        return np.array([r.event == 1 for r in self.records], dtype=bool)
-
-    @cached_property
-    def marginal_times(self) -> np.ndarray:
-        """Event time for events, censoring time for censored records."""
-        return np.array(
-            [r.time if r.event == 1 else r.censor_time for r in self.records], dtype=float
-        )
-
-    @cached_property
-    def design_matrix(self) -> np.ndarray:
-        return np.array([r.covariates for r in self.records], dtype=float).reshape(
-            self.n_records, len(self.covariate_names)
-        )
 
     @property
     def n_events(self) -> int:

@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -77,6 +81,106 @@ def test_dataset_arrays():
     np.testing.assert_array_equal(ds.marginal_times, [1.5, 4.0, 2.5])
     assert ds.design_matrix.shape == (3, 2)
     assert ds.max_observed_time == 4.0
+
+
+def _reference_arrays(ds):
+    """The per-record comprehensions the array views are defined by."""
+    base = min((r.subject_id for r in ds.records), default=0)
+    return {
+        "subject_positions": np.array([r.subject_id - base for r in ds.records], dtype=np.intp),
+        "event_flags": np.array([r.event == 1 for r in ds.records], dtype=bool),
+        "marginal_times": np.array(
+            [r.time if r.event == 1 else r.censor_time for r in ds.records], dtype=float
+        ),
+        "design_matrix": np.array([r.covariates for r in ds.records], dtype=float).reshape(
+            ds.n_records, len(ds.covariate_names)
+        ),
+    }
+
+
+def _random_dataset(rng, p):
+    records = []
+    for subject in range(5, 5 + 7):
+        for replicate in rng.permutation(4)[: rng.integers(1, 4)]:
+            t = float(rng.exponential())
+            cov = tuple(rng.normal(size=p))
+            if rng.random() < 0.3:
+                records.append(SurvivalRecord(subject, int(replicate), None, 0, t, cov))
+            else:
+                records.append(SurvivalRecord(subject, int(replicate), t, 1, covariates=cov))
+    order = rng.permutation(len(records))
+    return SurvivalDataset([records[i] for i in order], [f"x{j}" for j in range(p)])
+
+
+def test_dataset_arrays_equal_the_per_record_reference():
+    rng = np.random.default_rng(20)
+    datasets = [_random_dataset(rng, p) for p in (0, 2, 2)]
+    assert not datasets[1].event_flags.all() and datasets[1].event_flags.any()
+    assert datasets[1].subject_positions[0] != 0  # subjects are not in order
+    datasets += [SurvivalDataset([]), SurvivalDataset([], ("a", "b"))]
+    for ds in datasets:
+        for name, want in _reference_arrays(ds).items():
+            got = getattr(ds, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.flags.c_contiguous, name
+            np.testing.assert_array_equal(got, want, err_msg=name)
+    assert datasets[-1].design_matrix.shape == (0, 2)
+    assert datasets[-1].n_subjects == 0
+
+
+def test_dataset_load_messages():
+    two = (1.0, 2.0)
+    recs = [
+        SurvivalRecord(1, 1, 1.0, 1, covariates=two),
+        SurvivalRecord(2, 1, 1.0, 1, covariates=(1.0,)),
+        SurvivalRecord(3, 1, 1.0, 1, covariates=(1.0, 2.0, 3.0)),
+    ]
+    with pytest.raises(DataFormatError, match=r"^record 1 has 1 covariates, expected 2$"):
+        SurvivalDataset(recs, ("a", "b"))
+    for ids in ([1, 3], [2, 2, 4], [0, 2, 1, 5]):
+        with pytest.raises(
+            DataFormatError, match="^subject ids must form a contiguous integer range$"
+        ):
+            SurvivalDataset([SurvivalRecord(s, i, 1.0, 1) for i, s in enumerate(ids)])
+
+
+def test_subject_ids_beyond_64_bits_load():
+    big = 2**70
+    ds = SurvivalDataset(
+        [SurvivalRecord(big + s, 1, 1.0, 1) for s in (2, 0, 1)] + [SurvivalRecord(big, 2, 3.0, 1)]
+    )
+    assert ds.n_subjects == 3
+    assert ds.subject_positions.dtype == np.intp
+    assert ds.subject_positions.tolist() == [2, 0, 1, 0]
+
+
+def test_record_copies_covariates_so_they_cannot_change_after_the_check():
+    cov = [1.0, 2.0]
+    record = SurvivalRecord(1, 1, 2.0, 1, covariates=cov)
+    cov[1] = float("nan")
+    assert record.covariates == (1.0, 2.0)
+    ds = SurvivalDataset([record], ("a", "b"))
+    np.testing.assert_array_equal(ds.design_matrix, [[1.0, 2.0]])
+    same = SurvivalDataset([SurvivalRecord(1, 1, 2.0, 1, covariates=(1.0, 2.0))], ("a", "b"))
+    assert hash(ds) == hash(same) and ds == same
+
+
+def test_record_is_a_frozen_slotted_value():
+    event = SurvivalRecord(3, 2, 4.5, 1, covariates=(1.0, 30.0))
+    censored = SurvivalRecord(3, 1, None, 0, 4.5, (0.0, 31.0))
+    with pytest.raises(ValueError, match="event records need a finite positive time"):
+        dataclasses.replace(event, time=-1.0)
+    with pytest.raises(ValueError, match="censored records must leave time unset"):
+        dataclasses.replace(censored, time=-1.0)
+    assert dataclasses.replace(event, covariates=[2.0, 3.0]).covariates == (2.0, 3.0)
+    for r in (event, censored):
+        for twin in (pickle.loads(pickle.dumps(r)), copy.copy(r), copy.deepcopy(r)):
+            assert twin == r and hash(twin) == hash(r)
+            assert type(twin.covariates) is tuple
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.time = 1.0
+        with pytest.raises(TypeError):
+            vars(r)
 
 
 def test_csv_round_trip(tmp_path):
