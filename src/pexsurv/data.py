@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from itertools import chain, repeat
-from operator import sub
+from operator import index, sub
 
 import numpy as np
 
@@ -99,7 +99,7 @@ class SurvivalDataset:
             i = int(np.argmax(wrong_arity))
             raise DataFormatError(f"record {i} has {len(covariates[i])} covariates, expected {p}")
         subject_ids = [r.subject_id for r in records]
-        ids = set(subject_ids)
+        ids = set(map(index, subject_ids))  # TypeError for a non-integer id
         base = min(ids, default=0)
         if ids and max(ids) - base != len(ids) - 1:
             raise DataFormatError("subject ids must form a contiguous integer range")

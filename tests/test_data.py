@@ -142,6 +142,11 @@ def test_dataset_load_messages():
             DataFormatError, match="^subject ids must form a contiguous integer range$"
         ):
             SurvivalDataset([SurvivalRecord(s, i, 1.0, 1) for i, s in enumerate(ids)])
+    # min and max prove a range only for integers
+    for ids in ([1.5, 2.5], [1, 1.5, 3], [1, np.float64(2.0)]):
+        with pytest.raises(TypeError, match="integer"):
+            SurvivalDataset([SurvivalRecord(s, i, 1.0, 1) for i, s in enumerate(ids)])
+    assert SurvivalDataset([SurvivalRecord(np.int64(s), 1, 1.0, 1) for s in (4, 3)]).n_subjects == 2
 
 
 def test_subject_ids_beyond_64_bits_load():
