@@ -129,9 +129,8 @@ def test_dataset_arrays_equal_the_per_record_reference():
 
 
 def test_dataset_load_messages():
-    two = (1.0, 2.0)
     recs = [
-        SurvivalRecord(1, 1, 1.0, 1, covariates=two),
+        SurvivalRecord(1, 1, 1.0, 1, covariates=(1.0, 2.0)),
         SurvivalRecord(2, 1, 1.0, 1, covariates=(1.0,)),
         SurvivalRecord(3, 1, 1.0, 1, covariates=(1.0, 2.0, 3.0)),
     ]
