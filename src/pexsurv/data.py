@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 _BASE_COLUMNS = ("subject", "replicate", "time", "status")
+_NOT_CONTIGUOUS = "subject ids must form a contiguous integer range"
 
 
 class DataFormatError(ValueError):
@@ -41,7 +42,9 @@ class SurvivalRecord:
     ``event == 1`` requires a positive ``time`` and ignores ``censor_time``;
     ``event == 0`` requires ``time is None`` and a positive ``censor_time``.
     ``covariates`` is stored as a tuple, ordered like the owning dataset's
-    ``covariate_names``.  Records are slotted, so they have no ``__dict__``.
+    ``covariate_names``.  Records are slotted, so they have no ``__dict__``;
+    ``__init__`` checks its arguments, then sets each field through its
+    slot's descriptor.
     """
 
     subject_id: int
@@ -68,13 +71,22 @@ class SurvivalRecord:
         covariates = tuple(covariates)
         if covariates and not all(map(math.isfinite, covariates)):
             raise ValueError(f"covariates must be finite, got {covariates!r}")
-        set_field = object.__setattr__
-        set_field(self, "subject_id", subject_id)
-        set_field(self, "replicate_id", replicate_id)
-        set_field(self, "time", time)
-        set_field(self, "event", event)
-        set_field(self, "censor_time", censor_time)
-        set_field(self, "covariates", covariates)
+        _set_subject_id(self, subject_id)
+        _set_replicate_id(self, replicate_id)
+        _set_time(self, time)
+        _set_event(self, event)
+        _set_censor_time(self, censor_time)
+        _set_covariates(self, covariates)
+
+
+# Each slot's member descriptor, bound once: its __set__ stores a field past
+# the frozen __setattr__ without looking the name up on the type per call.
+_set_subject_id = SurvivalRecord.__dict__["subject_id"].__set__
+_set_replicate_id = SurvivalRecord.__dict__["replicate_id"].__set__
+_set_time = SurvivalRecord.__dict__["time"].__set__
+_set_event = SurvivalRecord.__dict__["event"].__set__
+_set_censor_time = SurvivalRecord.__dict__["censor_time"].__set__
+_set_covariates = SurvivalRecord.__dict__["covariates"].__set__
 
 
 class SurvivalDataset:
@@ -82,10 +94,11 @@ class SurvivalDataset:
 
     Subject ids must form a contiguous integer range (any starting value),
     each ``(subject_id, replicate_id)`` pair may occur once, and covariate
-    arity must match ``covariate_names`` on every record.  The array views
-    used by the model and sampler layers (``subject_positions``,
-    ``event_flags``, ``marginal_times`` and ``design_matrix``) are built once,
-    at construction, and checked in bulk.
+    arity must match ``covariate_names`` on every record; subject and
+    replicate ids must be integers.  The arrays used by the model and sampler
+    layers (``subject_positions``, ``event_flags``, ``marginal_times`` and
+    ``design_matrix``) are built once, at construction, checked in bulk and
+    read-only: copy one before writing to it.
     """
 
     def __init__(self, records, covariate_names=()):
@@ -98,24 +111,38 @@ class SurvivalDataset:
         if wrong_arity.any():
             i = int(np.argmax(wrong_arity))
             raise DataFormatError(f"record {i} has {len(covariates[i])} covariates, expected {p}")
-        subject_ids = [r.subject_id for r in records]
-        ids = set(map(index, subject_ids))  # TypeError for a non-integer id
-        base = min(ids, default=0)
-        if ids and max(ids) - base != len(ids) - 1:
-            raise DataFormatError("subject ids must form a contiguous integer range")
-        self.n_subjects: int = len(ids)
+        # TypeError for a non-integer id; as Python ints, the differences
+        # below cannot wrap around
+        subject_ids = [index(r.subject_id) for r in records]
+        base = min(subject_ids, default=0)
+        try:
+            positions = np.fromiter(map(sub, subject_ids, repeat(base)), np.intp, n)
+        except OverflowError:  # a gap wider than intp
+            raise DataFormatError(_NOT_CONTIGUOUS) from None
+        # with every position below n, count the records of each subject: the
+        # ids are contiguous when every subject has one
+        if n and positions.max() >= n:
+            raise DataFormatError(_NOT_CONTIGUOUS)
+        sizes = np.bincount(positions)
+        if not sizes.all():
+            raise DataFormatError(_NOT_CONTIGUOUS)
+        self.n_subjects: int = sizes.size
         #: 0-based contiguous subject index per record
-        self.subject_positions = np.fromiter(map(sub, subject_ids, repeat(base)), np.intp, n)
+        self.subject_positions = positions
         self.event_flags = np.fromiter((r.event == 1 for r in records), bool, n)
         #: event time for events, censoring time for censored records
         self.marginal_times = np.array(
             [r.time if r.event == 1 else r.censor_time for r in records], dtype=float
         )
-        self.design_matrix = np.fromiter(
-            chain.from_iterable(covariates), float, n * p
-        ).reshape(n, p)
+        design = np.fromiter(chain.from_iterable(covariates), float, n * p)
+        # read-only before the reshape, so the (n, p) view is read-only too
+        for array in (self.subject_positions, self.event_flags, self.marginal_times, design):
+            array.flags.writeable = False
+        self.design_matrix = design.reshape(n, p)
+        replicate_ids = [r.replicate_id for r in records]
         try:
-            replicate = np.array([r.replicate_id for r in records], dtype=np.int64)
+            # TypeError for a non-integer id
+            replicate = np.fromiter(map(index, replicate_ids), np.int64, n)
         except OverflowError:
             raise DataFormatError("replicate ids must fit in 64 bits") from None
         # stable sort by (subject, replicate): a repeated pair is adjacent and

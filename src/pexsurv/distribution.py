@@ -226,7 +226,10 @@ class TimeGrid:
         overlaps the exposure component of the sufficient statistics.
         """
         t = np.asarray(times, dtype=float)[:, None]
-        return np.clip(np.minimum(t, self._uppers[None, :]) - self._cuts[None, :], 0.0, None)
+        # one (len(times), m) array, clipped in place
+        out = np.minimum(t, self._uppers)
+        out -= self._cuts
+        return np.maximum(out, 0.0, out=out)
 
 
 class PiecewiseExponential:

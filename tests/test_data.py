@@ -158,6 +158,41 @@ def test_subject_ids_beyond_64_bits_load():
     assert ds.subject_positions.tolist() == [2, 0, 1, 0]
 
 
+def test_subject_id_gaps_are_rejected_without_overflow():
+    # a gap wider than intp, a span equal to n with a subject missing, and a
+    # span of numpy ids that would wrap around in int64 arithmetic
+    for ids in ([1, 2**70], [1, 1, 3], [np.int64(-(2**63)), np.int64(2**63 - 1)]):
+        with pytest.raises(
+            DataFormatError, match="^subject ids must form a contiguous integer range$"
+        ):
+            SurvivalDataset([SurvivalRecord(s, i, 1.0, 1) for i, s in enumerate(ids)])
+    assert SurvivalDataset([]).n_subjects == 0
+
+
+def test_replicate_ids_must_be_integers():
+    with pytest.raises(TypeError, match="integer"):
+        SurvivalDataset([SurvivalRecord(1, 1.5, 2.0, 1)])
+    with pytest.raises(TypeError, match="integer"):
+        SurvivalDataset([SurvivalRecord(1, 1.2, 2.0, 1), SurvivalRecord(1, 1.7, 3.0, 1)])
+    with pytest.raises(DataFormatError, match="^replicate ids must fit in 64 bits$"):
+        SurvivalDataset([SurvivalRecord(1, 1, 2.0, 1), SurvivalRecord(2, 2**70, 2.0, 1)])
+    ds = SurvivalDataset([SurvivalRecord(1, np.int64(3), 2.0, 1), SurvivalRecord(1, 1, 3.0, 1)])
+    assert [r.replicate_id for r in ds.records] == [3, 1]
+
+
+def test_dataset_arrays_are_read_only():
+    ds = load_kidney()
+    times = ds.marginal_times.copy()
+    for name in ("subject_positions", "event_flags", "marginal_times", "design_matrix"):
+        array = getattr(ds, name)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            array.reshape(-1)[0] = 0  # a view cannot write either
+    np.testing.assert_array_equal(ds.marginal_times, times)
+    assert ds == load_kidney()
+
+
 def test_record_copies_covariates_so_they_cannot_change_after_the_check():
     cov = [1.0, 2.0]
     record = SurvivalRecord(1, 1, 2.0, 1, covariates=cov)

@@ -86,6 +86,24 @@ def test_interval_index_vectorized(pe):
     assert idx.tolist() == [1, 1, 2, 4]
 
 
+def test_exposures_equal_the_three_temporary_reference():
+    grid = TimeGrid(GRID)
+
+    def reference(times):
+        t = np.asarray(times, dtype=float)[:, None]
+        cuts = np.array(GRID)
+        uppers = np.append(cuts[1:], np.inf)
+        return np.clip(np.minimum(t, uppers[None, :]) - cuts[None, :], 0.0, None)
+
+    rng = np.random.default_rng(12)
+    below_on_past = [0.5, 1.999, 2.0, 2.0001, 3.0, 4.2, 5.0, 5.5, 1e6]
+    for times in (below_on_past, rng.uniform(0.0, 8.0, 1000), np.array(GRID[1:]), []):
+        got, want = grid.exposures(times), reference(times)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+
 # -- hazard and cumulative hazard --------------------------------------------
 
 
