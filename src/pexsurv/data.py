@@ -93,12 +93,13 @@ class SurvivalDataset:
     """Immutable collection of :class:`SurvivalRecord` with named covariates.
 
     Subject ids must form a contiguous integer range (any starting value),
-    each ``(subject_id, replicate_id)`` pair may occur once, and covariate
-    arity must match ``covariate_names`` on every record; subject and
-    replicate ids must be integers.  The arrays used by the model and sampler
-    layers (``subject_positions``, ``event_flags``, ``marginal_times`` and
-    ``design_matrix``) are built once, at construction, checked in bulk and
-    read-only: copy one before writing to it.
+    each ``(subject_id, replicate_id)`` pair may occur once, the
+    ``covariate_names`` must be distinct and their number must match the
+    arity of every record; subject and replicate ids must be integers.  The
+    arrays used by the model and sampler layers (``subject_positions``,
+    ``event_flags``, ``marginal_times`` and ``design_matrix``) are built once,
+    at construction, checked in bulk and read-only: copy one before writing
+    to it.
     """
 
     def __init__(self, records, covariate_names=()):
@@ -106,6 +107,11 @@ class SurvivalDataset:
         records = self.records
         self.covariate_names: tuple[str, ...] = tuple(str(n) for n in covariate_names)
         n, p = len(records), len(self.covariate_names)
+        # a repeated name would give two coefficients one monitored name, so
+        # a fit would keep the draws of only one of them
+        for i, name in enumerate(self.covariate_names):
+            if name in self.covariate_names[:i]:
+                raise DataFormatError(f"covariate name {name!r} is repeated")
         covariates = [r.covariates for r in records]
         wrong_arity = np.fromiter(map(len, covariates), np.intp, n) != p
         if wrong_arity.any():
@@ -248,9 +254,10 @@ def write_dataset_csv(data: SurvivalDataset, path) -> None:
         writer.writerow(list(_BASE_COLUMNS) + list(data.covariate_names))
         for r in data.records:
             t = r.time if r.event == 1 else r.censor_time
+            # plain float and int text, whatever numeric types the record holds
             writer.writerow(
-                [r.subject_id, r.replicate_id, repr(t), r.event]
-                + [repr(v) for v in r.covariates]
+                [r.subject_id, r.replicate_id, repr(float(t)), int(r.event)]
+                + [repr(float(v)) for v in r.covariates]
             )
 
 

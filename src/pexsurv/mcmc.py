@@ -47,6 +47,10 @@ from one fixed kernel (Neal 2003, section 4.4).  The kernel reads its
 uniforms from blocks of ``_UNIFORM_BLOCK`` doubles drawn from the chain's
 generator.
 
+The frailty families' rate prior is stated once per chain, as the fit
+context's ``link`` from each log-rate to the next, which the rate targets,
+the rescale and the coefficient moves all read.
+
 A rate whose e^x would not be a positive, finite double has density zero:
 the rate targets, and the coefficient and frailty moves that rescale every
 rate, read -inf there.  The frailty rescale reads -inf, too, where a
@@ -249,7 +253,24 @@ class _FitContext:
         self.cuts = np.array(spec.grid.cut_points)
         self.widths = np.diff(self.cuts)
         self.m = spec.grid.m
-        self.h = spec.hyper
+        self.h = h = spec.hyper
+        # The frailty families' rate prior, one link of the chain at a time:
+        # link(dx) is the log prior of a log-rate given the one before, as a
+        # function of the increment dx = x_j - x_{j-1} (x_0 = 0), up to a
+        # constant.  For the gamma chain it includes the log-scale Jacobian
+        # and reads -inf where e^dx would overflow.  Every target that moves
+        # the rates reads it; the simple family's rates do not.
+        if spec.family == FAMILY_GAMMA_CHAIN:
+
+            def link(dx, a=h.alpha, exp=math.exp):
+                return -math.inf if dx > _LOG_MAX else a * dx - a * exp(dx)
+
+        else:
+
+            def link(dx, two_nu=2.0 * h.nu):
+                return -(dx * dx) / two_nu
+
+        self.link = link
         self.X = data.design_matrix
         self.p = self.X.shape[1]
         self.subj = data.subject_positions
@@ -381,42 +402,26 @@ class _FitContext:
             return
 
         # Each rate is sliced on x = log lambda_j (xi_j for the random walk),
-        # with x_0 = 0 before the first.  The targets do plain float
-        # arithmetic on d, R and the log-rates, taken out of numpy once per
-        # block, and read -inf where e^x would not be a positive, finite
-        # double.
+        # with x_0 = 0 before the first: its likelihood d_j x - R_j e^x, the
+        # link from the rate before and, but for the last rate, the link to
+        # the rate after.  The targets do plain float arithmetic on d, R and
+        # the log-rates, taken out of numpy once per block, and read -inf
+        # where e^x would not be a positive, finite double.
         d, risk = d.tolist(), risk.tolist()
         widths, jumps = self.slice_widths, self.jump_sums
-        gamma_chain = self.spec.family == FAMILY_GAMMA_CHAIN
-        a, nu = h.alpha, h.nu
+        link = self.link
         xi = np.log(state.rates).tolist()
         for j in range(self.m):
             prev = xi[j - 1] if j > 0 else 0.0
             nxt = xi[j + 1] if j + 1 < self.m else None
-            if gamma_chain:
 
-                def logf(x, c=d[j] + a, rj=risk[j], prev=prev, nxt=nxt, a=a):
-                    # likelihood + own prior + Jacobian:
-                    # (d_j + alpha) x - R_j e^x - alpha e^{x - x_{j-1}};
-                    # the child prior adds -alpha x - alpha e^{x_{j+1} - x}.
-                    if not _LOG_MIN <= x <= _LOG_MAX or x - prev > _LOG_MAX:
-                        return -math.inf
-                    v = c * x - rj * math.exp(x) - a * math.exp(x - prev)
-                    if nxt is not None:
-                        if nxt - x > _LOG_MAX:
-                            return -math.inf
-                        v -= a * x + a * math.exp(nxt - x)
-                    return v
-
-            else:
-
-                def logf(x, dj=d[j], rj=risk[j], prev=prev, nxt=nxt, nu=nu):
-                    if not _LOG_MIN <= x <= _LOG_MAX:
-                        return -math.inf
-                    v = dj * x - rj * math.exp(x) - (x - prev) ** 2 / (2.0 * nu)
-                    if nxt is not None:
-                        v -= (nxt - x) ** 2 / (2.0 * nu)
-                    return v
+            def logf(x, dj=d[j], rj=risk[j], prev=prev, nxt=nxt, link=link, exp=math.exp):
+                if not _LOG_MIN <= x <= _LOG_MAX:
+                    return -math.inf
+                v = dj * x - rj * exp(x) + link(x - prev)
+                if nxt is not None:
+                    v += link(nxt - x)
+                return v
 
             x1 = update_scalar_slice(logf, xi[j], rng, width=widths[j])
             jumps[j] += abs(x1 - xi[j])
@@ -461,15 +466,12 @@ class _FitContext:
 
         Every z_i lambda_j, and so the likelihood, is unchanged.  On s the
         target is the frailty prior with its Jacobian, eta n s - eta e^s
-        sum_i z_i, plus the rate prior's change at the anchor: -alpha s -
-        alpha e^{x_1 - s} for the gamma chain, -(x_1 - s)^2 / (2 nu) for the
-        random walk, x_1 = log lambda_1.  It reads -inf wherever a frailty or
-        a rate would leave the positive, finite doubles; a frailty of 0.0
-        stays 0.0.
+        sum_i z_i, plus the rate prior's change at the anchor, link(x_1 - s)
+        with x_1 = log lambda_1: the move shifts every log-rate alike, so no
+        other link changes.  It reads -inf wherever a frailty or a rate would
+        leave the positive, finite doubles; a frailty of 0.0 stays 0.0.
         """
-        eta, n = state.eta, self.n_sub
-        gamma_chain = self.spec.family == FAMILY_GAMMA_CHAIN
-        a, nu = self.h.alpha, self.h.nu
+        eta, n, link = state.eta, self.n_sub, self.link
         with np.errstate(divide="ignore"):  # log 0.0 = -inf, and e^{-inf + s} = 0.0
             logz = np.log(state.z)
         lz = logz.tolist()
@@ -487,10 +489,7 @@ class _FitContext:
         def logf(s):
             if not s_lo <= s <= s_hi or s + log_z_sum > _LOG_MAX:
                 return -math.inf
-            v = eta * n * s - eta * math.exp(s + log_z_sum)
-            if gamma_chain:
-                return v - a * s - a * math.exp(x1 - s)
-            return v - (x1 - s) ** 2 / (2.0 * nu)
+            return eta * n * s - eta * math.exp(s + log_z_sum) + link(x1 - s)
 
         s1 = update_scalar_slice(logf, 0.0, rng, width=self.slice_widths[-1])
         self.jump_sums[-1] += abs(s1)
@@ -502,14 +501,12 @@ class _FitContext:
 
         Along that line the hazard moves only through x_k - xbar_k.  The
         target is in (beta, log lambda) coordinates, so it carries the rate
-        prior's change at the anchor lambda_1 (or xi_1) and its Jacobian.
+        prior's change at the anchor, the link of log lambda_1 (or xi_1).
         ``weight`` is each record's z e^{x' beta} H at the current state.
         """
         if not self.p:
             return
-        var = self.h.beta_var
-        gamma_chain = self.spec.family == FAMILY_GAMMA_CHAIN
-        a, nu = self.h.alpha, self.h.nu
+        var, link = self.h.beta_var, self.link
         widths, jumps = self.slice_widths, self.jump_sums
         # The move scales each weight by e^{delta (x_ik - xbar_k)}.
         beta = state.beta.tolist()
@@ -533,6 +530,7 @@ class _FitContext:
                 shift_lo=_LOG_MIN - xi_lo - moved,
                 shift_hi=_LOG_MAX - xi_hi - moved,
                 w=weight,
+                link=link,
             ):
                 xc, xbar, lo, hi, sx = col
                 if delta * (hi if delta > 0.0 else lo) > room:
@@ -541,9 +539,7 @@ class _FitContext:
                 if not shift_lo <= shift <= shift_hi:
                     return -math.inf
                 v = delta * sx - float(w @ np.exp(delta * xc)) - (b + delta) ** 2 / (2.0 * var)
-                if not gamma_chain:
-                    return v - (xi1 + shift) ** 2 / (2.0 * nu)
-                return v + a * shift - a * math.exp(xi1 + shift)
+                return v + link(xi1 + shift)
 
             delta = update_scalar_slice(logf, 0.0, rng, width=widths[self.m + k])
             jumps[self.m + k] += abs(delta)

@@ -155,6 +155,17 @@ def test_fit_malformed_csv_reports_line(tmp_path, capsys):
     assert ":3:" in capsys.readouterr().err
 
 
+def test_fit_repeated_covariate_name_is_validation_error(tmp_path, capsys):
+    # both columns would enter the fit, but only one beta_x would be written
+    path = tmp_path / "twin.csv"
+    path.write_text("subject,replicate,time,status,x,x\n1,1,5.0,1,0.0,1.0\n2,1,3.0,0,1.0,0.0\n")
+    rc = main(["fit", "--model", "frailty-gamma", "--data", str(path), "--m", "2",
+               "--chains", "1", "--burnin", "10", "--iters", "100", "--seed", "1",
+               "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert "covariate name 'x' is repeated" in capsys.readouterr().err
+
+
 def test_fit_requires_enough_retained_draws(tmp_path, capsys):
     rc = main(["fit", "--model", "simple", "--data", "kidney", "--m", "3",
                "--chains", "1", "--burnin", "10", "--iters", "50", "--seed", "1",

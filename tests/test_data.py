@@ -148,6 +148,15 @@ def test_dataset_load_messages():
     assert SurvivalDataset([SurvivalRecord(np.int64(s), 1, 1.0, 1) for s in (4, 3)]).n_subjects == 2
 
 
+def test_repeated_covariate_names_are_rejected():
+    recs = [SurvivalRecord(1, 1, 1.0, 1, covariates=(1.0, 2.0, 3.0))]
+    cases = ((("x", "x", "y"), "x"), (("y", "x", "x"), "x"), (("y", "x", "y"), "y"))
+    for names, repeated in cases:
+        with pytest.raises(DataFormatError, match=f"^covariate name '{repeated}' is repeated$"):
+            SurvivalDataset(recs, names)
+    assert SurvivalDataset(recs, ("x", "y", "z")).covariate_names == ("x", "y", "z")
+
+
 def test_subject_ids_beyond_64_bits_load():
     big = 2**70
     ds = SurvivalDataset(
@@ -231,6 +240,24 @@ def test_csv_round_trip(tmp_path):
         ],
         ("sex", "age"),
     )
+    path = tmp_path / "ds.csv"
+    write_dataset_csv(ds, path)
+    assert read_dataset_csv(path) == ds
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        SurvivalRecord(1, 1, np.float64(2.0), 1),
+        SurvivalRecord(1, 1, None, 0, np.float64(2.0)),
+        SurvivalRecord(1, 1, 2.0, 1, covariates=(np.float64(0.5),)),
+        SurvivalRecord(1, 1, 2.0, 1.0),
+        SurvivalRecord(1, 1, 2.0, True),
+    ],
+    ids=["numpy-time", "numpy-censor-time", "numpy-covariate", "float-event", "bool-event"],
+)
+def test_csv_round_trip_of_numpy_and_non_int_values(tmp_path, record):
+    ds = SurvivalDataset([record], ("x",) if record.covariates else ())
     path = tmp_path / "ds.csv"
     write_dataset_csv(ds, path)
     assert read_dataset_csv(path) == ds

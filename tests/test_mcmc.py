@@ -300,6 +300,33 @@ def test_collapsed_eta_target_is_the_z_marginal(monkeypatch, augmented):
 
 @pytest.mark.parametrize("augmented", [True, False], ids=["augmented", "marginal"])
 @pytest.mark.parametrize("family", [FAMILY_GAMMA_CHAIN, FAMILY_LOGNORMAL_RW])
+def test_frailty_rate_target_is_the_joint_along_its_log_rate(monkeypatch, family, augmented):
+    # Rate j's target differs from the joint density with x_j = log lambda_j
+    # (xi_j) moved by a constant; for the gamma chain the joint is on lambda,
+    # so it gains the Jacobian x_j.  Strong rate priors make the links from
+    # the rate before and to the rate after visible; the last rate has none
+    # after it.
+    spec = ModelSpec(family, KIDNEY_GRID, HyperParams(alpha=3.0, nu=0.5))
+    kidney, state = _kidney_state(spec, np.random.default_rng(73))
+    targets = _captured_targets(monkeypatch)
+    mcmc._FitContext(spec, kidney, augmented).update_rates(state, np.random.default_rng(0))
+    assert len(targets) == spec.grid.m
+    for j in (0, 4, 9):
+        x0 = np.log(state.rates[j])
+        got, want = [], []
+        for x in np.linspace(x0 - 1.5, x0 + 1.5, 21):
+            moved = state.copy()
+            moved.rates[j] = np.exp(x)
+            jacobian = x if family == FAMILY_GAMMA_CHAIN else 0.0
+            got.append(targets[j](x))
+            want.append(joint_log_density(moved, spec, kidney, augmented=augmented) + jacobian)
+        diff = np.array(got) - np.array(want)
+        assert np.ptp(want) > 1.0
+        assert np.ptp(diff) < 1e-8, (j, np.ptp(diff))
+
+
+@pytest.mark.parametrize("augmented", [True, False], ids=["augmented", "marginal"])
+@pytest.mark.parametrize("family", [FAMILY_GAMMA_CHAIN, FAMILY_LOGNORMAL_RW])
 def test_centred_beta_target_is_the_joint_along_the_shift(monkeypatch, family, augmented):
     # (beta_k + delta, log lambda - delta xbar_k): the target differs from the
     # joint density of the shifted state in (beta, log lambda) coordinates by
