@@ -23,7 +23,11 @@ otherwise), and, for the frailty families, three more blocks:
 Chains are driven by numpy's PCG64 generator seeded from
 ``(config.seed, chain_id)``, so a rerun with the same seed on the same
 machine and library versions gives bit-identical output; one chain owns its
-generator and state exclusively.
+generator and state exclusively.  A chain's draws therefore do not depend on
+the process that runs it: ``run_chains`` runs chain 1 of a frailty fit in
+the calling process and its other chains in forked worker processes, at most
+one process per usable CPU.  The simple family's chains, which last
+milliseconds, all run in the calling process.
 
 Inputs are validated once, by the public constructors (``TimeGrid``,
 ``PiecewiseExponential``, ``SurvivalRecord``, ``ModelSpec``); the sweep then
@@ -63,6 +67,8 @@ import csv
 import itertools
 import json
 import math
+import multiprocessing
+import os
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -138,7 +144,9 @@ class McmcConfig:
     as ``frailty_scale``), by at most 50 expansions.
     ``impute`` is a Python or numpy bool, stored as ``bool``; ``False``
     switches censored records to their analytic log-survival contribution
-    instead of data augmentation.
+    instead of data augmentation.  Where the chains run is not configured:
+    ``run_chains`` decides it from the family and the usable CPUs, and the
+    draws are the same wherever a chain runs.
     """
 
     n_chains: int = 2
@@ -652,5 +660,74 @@ def run_chains(
     data: SurvivalDataset,
     config: McmcConfig,
 ) -> list[ChainStore]:
-    """Run ``config.n_chains`` independent chains (ids 1..n)."""
-    return [run_chain(spec, data, config, chain_id=c) for c in range(1, config.n_chains + 1)]
+    """Run ``config.n_chains`` independent chains (ids 1..n), in id order.
+
+    A frailty fit with several chains runs them in ``min(n_chains, usable
+    CPUs)`` processes: chain 1 in the calling process, the others shared out
+    among workers forked from it, each of which sends its stores back through
+    a pipe.  The simple family, one chain, one usable CPU, a platform without
+    ``fork`` or ``os.sched_getaffinity``, and a daemonic calling process run
+    every chain in the calling process, one after another.  Each chain's
+    draws are the same either way; its ``wall_time_s`` is the time it took in
+    the process that ran it.  A worker's ``ChainAbortError`` is raised here
+    with its message, a worker that exits without a result raises one naming
+    its chains, and every worker is reaped before this returns or raises.
+    """
+    others = list(range(2, config.n_chains + 1))
+    n_workers = min(len(others), _usable_cpus() - 1)
+    if not spec.is_frailty or n_workers < 1 or multiprocessing.current_process().daemon:
+        return [run_chain(spec, data, config, chain_id=c) for c in range(1, config.n_chains + 1)]
+    fork = multiprocessing.get_context("fork")
+    workers = []
+    try:
+        for w in range(n_workers):
+            ids = others[w::n_workers]
+            recv, send = fork.Pipe(duplex=False)
+            proc = fork.Process(target=_run_share, args=(send, spec, data, config, ids), daemon=True)
+            proc.start()
+            send.close()  # so recv() meets EOF if the worker dies without a result
+            workers.append((proc, recv, ids))
+        stores = [run_chain(spec, data, config, chain_id=1)]
+        for proc, recv, ids in workers:
+            stores += _receive(proc, recv, ids)
+    finally:
+        for proc, recv, _ in workers:
+            if proc.exitcode is None:
+                proc.terminate()
+            proc.join()
+            recv.close()
+    return sorted(stores, key=lambda store: store.meta["chain_id"])
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where fork or the affinity mask is missing."""
+    if not hasattr(os, "sched_getaffinity") or "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _run_share(send, spec, data, config, chain_ids) -> None:
+    """Worker body: run ``chain_ids`` in turn, then send their stores or the abort."""
+    try:
+        result = [run_chain(spec, data, config, chain_id=c) for c in chain_ids]
+    except ChainAbortError as exc:
+        result = exc
+    send.send(result)
+    send.close()
+
+
+def _receive(proc, recv, chain_ids) -> list[ChainStore]:
+    """A worker's stores, once it has sent them and exited; raises its abort."""
+    try:
+        result = recv.recv()
+    except EOFError:
+        proc.join()
+        names = ", ".join(map(str, chain_ids))
+        raise ChainAbortError(
+            f"chain {names} aborted: its worker process exited with code {proc.exitcode}"
+            " before sending a result"
+        ) from None
+    proc.join()
+    if isinstance(result, ChainAbortError):
+        raise result
+    return result

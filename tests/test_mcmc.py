@@ -1,3 +1,8 @@
+import contextlib
+import multiprocessing
+import os
+import signal
+import time
 import warnings
 from dataclasses import replace
 
@@ -737,7 +742,10 @@ def test_sufficient_stats_calls_per_fit(monkeypatch, family, data, once_per_chai
 
     monkeypatch.setattr(mcmc, "sufficient_stats", counting)
     cfg = McmcConfig(n_chains=2, burn_in=4, n_iter=6, seed=3)
-    run_chains(ModelSpec(family, GRID4), data, cfg)
+    # run_chain per id: run_chains runs a frailty fit's later chains in worker
+    # processes, whose calls this process does not see.
+    for c in range(1, cfg.n_chains + 1):
+        run_chain(ModelSpec(family, GRID4), data, cfg, chain_id=c)
     sweeps = cfg.burn_in + cfg.n_iter
     assert len(calls) == cfg.n_chains * (1 if once_per_chain else sweeps)
 
@@ -758,7 +766,8 @@ def test_sweeps_build_no_distribution_object(monkeypatch, family):
 
     monkeypatch.setattr(PiecewiseExponential, "__init__", counting)
     cfg = McmcConfig(n_chains=2, burn_in=4, n_iter=6, seed=3)
-    run_chains(ModelSpec(family, GRID4), data, cfg)
+    for c in range(1, cfg.n_chains + 1):  # in this process, as above
+        run_chain(ModelSpec(family, GRID4), data, cfg, chain_id=c)
     assert len(built) <= cfg.n_chains
 
 
@@ -811,6 +820,173 @@ def test_chain_abort_carries_iteration_index():
     bad.rates = np.array([1.0, 1.0, 1.0, 0.0])  # zero-rate tail: imputation cannot proceed
     with pytest.raises(ChainAbortError, match="iteration 0"):
         run_chain(spec, data, cfg, init=bad)
+
+
+# -- chains in worker processes ------------------------------------------------------
+
+needs_fork = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or "fork" not in multiprocessing.get_all_start_methods(),
+    reason="run_chains forks workers only where fork and the CPU affinity mask exist",
+)
+
+
+def _kidney_fit(family, n_chains):
+    cfg = McmcConfig(n_chains=n_chains, burn_in=20, n_iter=30, seed=11)
+    return ModelSpec(family, KIDNEY_GRID), load_kidney(), cfg
+
+
+def _assert_same_chains(got, want):
+    assert [c.meta["chain_id"] for c in got] == [c.meta["chain_id"] for c in want]
+    for a, b in zip(got, want):
+        assert a.names == b.names
+        assert all(np.array_equal(a.draws[n], b.draws[n]) for n in b.names)
+        assert a.meta["slice_widths"] == b.meta["slice_widths"]
+        a_meta, b_meta = dict(a.meta), dict(b.meta)
+        a_meta.pop("wall_time_s"), b_meta.pop("wall_time_s")
+        assert a_meta == b_meta
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The os.fork calls this process makes, one entry each."""
+    calls = []
+    real = os.fork
+
+    def counting():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", counting)
+    return calls
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail, instead of hanging, when the block takes longer than ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _patch_sweep(monkeypatch, in_caller=None, in_worker=None):
+    """Call ``in_caller()`` before each sweep in this process, ``in_worker()`` in a worker."""
+    caller = os.getpid()
+    real = mcmc._FitContext.sweep
+
+    def sweep(self, state, rng):
+        act = in_caller if os.getpid() == caller else in_worker
+        if act is not None:
+            act()
+        real(self, state, rng)
+
+    monkeypatch.setattr(mcmc._FitContext, "sweep", sweep)
+
+
+def _raise_boom():
+    raise FloatingPointError("boom")
+
+
+@needs_fork
+@pytest.mark.parametrize("family", [FAMILY_GAMMA_CHAIN, FAMILY_LOGNORMAL_RW])
+@pytest.mark.parametrize(
+    "cpus, n_chains",
+    [(None, 3), ({0}, 3), ({0, 1, 2}, 4)],
+    ids=["host-cpus-3-chains", "one-cpu-3-chains", "three-cpus-4-chains"],
+)
+def test_chains_in_workers_equal_chains_run_one_by_one(monkeypatch, forks, family, cpus, n_chains):
+    # More chains than CPUs, so a worker runs two chains: on a 2-CPU host
+    # chains 2 and 3; on three CPUs, chains 2 and 4 in one worker, 3 in the other.
+    if cpus is not None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    spec, data, cfg = _kidney_fit(family, n_chains)
+    got = run_chains(spec, data, cfg)
+    want = [run_chain(spec, data, cfg, chain_id=c) for c in range(1, n_chains + 1)]
+    _assert_same_chains(got, want)
+    assert len(forks) == min(n_chains, len(os.sched_getaffinity(0))) - 1
+    assert multiprocessing.active_children() == []
+
+
+def test_simple_family_chains_start_no_process(monkeypatch, forks):
+    if hasattr(os, "sched_getaffinity"):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    spec = ModelSpec(FAMILY_SIMPLE, GRID4)
+    data = _partially_censored_dataset(S1, 60, 41)
+    cfg = McmcConfig(n_chains=3, burn_in=10, n_iter=20, seed=4)
+    got = run_chains(spec, data, cfg)
+    _assert_same_chains(got, [run_chain(spec, data, cfg, chain_id=c) for c in (1, 2, 3)])
+    assert forks == []
+
+
+@needs_fork
+def test_abort_in_a_worker_is_raised_naming_its_chain(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    _patch_sweep(monkeypatch, in_worker=_raise_boom)
+    spec, data, cfg = _kidney_fit(FAMILY_GAMMA_CHAIN, 2)
+    with _deadline(60), pytest.raises(ChainAbortError) as info:
+        run_chains(spec, data, cfg)
+    assert str(info.value) == "chain 2 aborted at iteration 0: boom"
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_worker_that_exits_without_a_result_raises_instead_of_hanging(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    _patch_sweep(monkeypatch, in_worker=lambda: os._exit(3))
+    spec, data, cfg = _kidney_fit(FAMILY_GAMMA_CHAIN, 2)
+    with _deadline(60), pytest.raises(ChainAbortError) as info:
+        run_chains(spec, data, cfg)
+    assert str(info.value) == (
+        "chain 2 aborted: its worker process exited with code 3 before sending a result"
+    )
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_abort_in_the_calling_process_reaps_the_workers(monkeypatch):
+    # The worker would never finish: run_chains must end it, not wait for it.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    _patch_sweep(monkeypatch, in_caller=_raise_boom, in_worker=lambda: time.sleep(3600))
+    spec, data, cfg = _kidney_fit(FAMILY_LOGNORMAL_RW, 2)
+    with _deadline(60), pytest.raises(ChainAbortError) as info:
+        run_chains(spec, data, cfg)
+    assert str(info.value) == "chain 1 aborted at iteration 0: boom"
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_chains_run_one_by_one_inside_a_daemonic_process(monkeypatch):
+    # A daemonic process may not start children; run_chains must not try.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    spec, data, cfg = _kidney_fit(FAMILY_GAMMA_CHAIN, 2)
+    fork = multiprocessing.get_context("fork")
+    recv, send = fork.Pipe(duplex=False)
+
+    def fit():
+        try:
+            send.send(run_chains(spec, data, cfg))
+        except Exception as exc:  # reported to the test process below
+            send.send(repr(exc))
+
+    proc = fork.Process(target=fit, daemon=True)
+    proc.start()
+    send.close()
+    try:
+        assert recv.poll(60)
+        got = recv.recv()
+    finally:
+        proc.join(60)
+        recv.close()
+    assert not proc.is_alive()
+    assert not isinstance(got, str), got
+    _assert_same_chains(got, [run_chain(spec, data, cfg, chain_id=c) for c in (1, 2)])
 
 
 def _pooled_mean_and_mcse(chains, name):
