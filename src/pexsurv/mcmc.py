@@ -26,8 +26,9 @@ machine and library versions gives bit-identical output; one chain owns its
 generator and state exclusively.  A chain's draws therefore do not depend on
 the process that runs it: ``run_chains`` runs chain 1 of a frailty fit in
 the calling process and its other chains in forked worker processes, at most
-one process per usable CPU.  The simple family's chains, which last
-milliseconds, all run in the calling process.
+one process per usable CPU.  The simple family's chains all run in the
+calling process: they last milliseconds, about what forking a worker
+costs.
 
 Inputs are validated once, by the public constructors (``TimeGrid``,
 ``PiecewiseExponential``, ``SurvivalRecord``, ``ModelSpec``); the sweep then
@@ -677,6 +678,9 @@ def run_chains(
     n_workers = min(len(others), _usable_cpus() - 1)
     if not spec.is_frailty or n_workers < 1 or multiprocessing.current_process().daemon:
         return [run_chain(spec, data, config, chain_id=c) for c in range(1, config.n_chains + 1)]
+    # Forked, not spawned: a worker starts with this process's modules and
+    # fit inputs already in memory, so nothing is imported or pickled on the
+    # way in.
     fork = multiprocessing.get_context("fork")
     workers = []
     try:
