@@ -72,10 +72,12 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_manifest(out_dir: Path, command: str, args_echo: dict, seeds: dict, timings: dict):
+def _write_manifest(out_dir: Path, command: str, args_echo: dict, seeds: dict, timings: dict,
+                    written: list[Path]):
+    # only the files this run wrote are listed, not others left in out_dir;
     # statistical outputs are hashed (they are byte-reproducible under a fixed
     # seed); metadata sidecars carry wall-clock times and are only listed
-    files = [p for p in sorted(out_dir.iterdir()) if p.is_file() and p.name != "manifest.json"]
+    files = sorted(written)
     outputs = {p.name: _sha256(p) for p in files if p.suffix in (".csv", ".txt")}
     manifest = {
         "command": command,
@@ -156,12 +158,16 @@ def _cmd_fit(args) -> int:
     sampling_s = time.perf_counter() - start
 
     summaries = summarize(chains, mass=0.95)
-    write_summary_csv(summaries, out_dir / "summary.csv")
-    (out_dir / "summary.txt").write_text(format_summary_table(summaries))
+    table, text = out_dir / "summary.csv", out_dir / "summary.txt"
+    write_summary_csv(summaries, table)
+    text.write_text(format_summary_table(summaries))
+    written = [table, text]
     for store in chains:
         cid = store.meta["chain_id"]
-        store.to_csv(out_dir / f"chain_{cid}.csv")
-        store.write_metadata(out_dir / f"chain_{cid}_meta.json", {"manifest": "manifest.json"})
+        draws, meta = out_dir / f"chain_{cid}.csv", out_dir / f"chain_{cid}_meta.json"
+        store.to_csv(draws)
+        store.write_metadata(meta, {"manifest": "manifest.json"})
+        written += [draws, meta]
     _write_manifest(
         out_dir,
         "fit",
@@ -177,6 +183,7 @@ def _cmd_fit(args) -> int:
         },
         {"seed": args.seed, "chain_ids": [c.meta["chain_id"] for c in chains]},
         {"sampling": sampling_s},
+        written,
     )
     sys.stdout.write(format_summary_table(summaries))
     print(f"wrote {out_dir}/summary.csv and {len(chains)} chain file(s)")
@@ -197,9 +204,10 @@ def _scenario_dataset(rates, n, rng) -> SurvivalDataset:
 
 
 def _cmd_simulate(args) -> int:
-    for flag, value in (("--n", args.n), ("--reps", args.reps)):
-        if value < 1:
-            raise CliError(f"{flag} must be at least 1")
+    lowest = (("--n", args.n, 1), ("--reps", args.reps, 1), ("--seed", args.seed, 0))
+    for flag, value, least in lowest:
+        if value < least:
+            raise CliError(f"{flag} must be at least {least}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     true_rates = SCENARIOS[args.scenario]
@@ -236,7 +244,8 @@ def _cmd_simulate(args) -> int:
         "rep", "scenario", "n", "parameter", "true", "mean", "median", "sd",
         "hpd_low", "hpd_high", "ess", "covered",
     ]
-    with open(out_dir / "results.csv", "w", newline="") as fh:
+    results = out_dir / "results.csv"
+    with open(results, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for r in rows:
             fh.write(
@@ -251,6 +260,7 @@ def _cmd_simulate(args) -> int:
         {"scenario": args.scenario, "n": args.n, "reps": args.reps},
         {"seed": args.seed},
         timings,
+        [results],
     )
     print(f"wrote {out_dir}/results.csv ({len(rows)} rows)")
     return 0

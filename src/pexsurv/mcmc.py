@@ -24,11 +24,10 @@ Chains are driven by numpy's PCG64 generator seeded from
 ``(config.seed, chain_id)``, so a rerun with the same seed on the same
 machine and library versions gives bit-identical output; one chain owns its
 generator and state exclusively.  A chain's draws therefore do not depend on
-the process that runs it: ``run_chains`` runs chain 1 of a frailty fit in
-the calling process and its other chains in forked worker processes, at most
-one process per usable CPU.  The simple family's chains all run in the
-calling process: they last milliseconds, about what forking a worker
-costs.
+the process that runs it: ``run_chains`` shares a frailty fit's chain ids
+equally among the calling process and forked workers, at most one process per
+usable CPU, and runs the simple family's chains, which last milliseconds,
+about what forking a worker costs, in the calling process.
 
 Inputs are validated once, by the public constructors (``TimeGrid``,
 ``PiecewiseExponential``, ``SurvivalRecord``, ``ModelSpec``); the sweep then
@@ -130,11 +129,11 @@ class ChainAbortError(RuntimeError):
 class McmcConfig:
     """Chain layout, seeding and likelihood mode.
 
-    The four layout fields and ``seed`` are Python or numpy integers, stored
-    as ``int``; a value out of range is rejected with a message naming its
-    field.  ``n_iter`` counts post-burn-in iterations; ``n_iter // thin``
-    draws are retained, so ``thin`` may not exceed ``n_iter``; ``seed`` is
-    non-negative.  The samplers are fixed per block: the simple family's
+    The four layout fields and ``seed`` are Python or numpy integers, not
+    bools, stored as ``int``; a value out of range is rejected with a message
+    naming its field.  ``n_iter`` counts post-burn-in iterations; ``n_iter //
+    thin`` draws are retained, so ``thin`` may not exceed ``n_iter``; ``seed``
+    is non-negative.  The samplers are fixed per block: the simple family's
     rates take their exact conjugate Gamma draw, whose ``(d, R)`` are
     computed once per chain when no time is imputed; the frailty families
     draw (eta, z) as one collapsed block, then rescale every frailty against
@@ -146,8 +145,9 @@ class McmcConfig:
     ``impute`` is a Python or numpy bool, stored as ``bool``; ``False``
     switches censored records to their analytic log-survival contribution
     instead of data augmentation.  Where the chains run is not configured:
-    ``run_chains`` decides it from the family and the usable CPUs, and the
-    draws are the same wherever a chain runs.
+    ``run_chains`` runs the simple family's in the calling process and shares
+    a frailty fit's equally among it and forked workers, at most one process
+    per usable CPU; the draws are the same wherever a chain runs.
     """
 
     n_chains: int = 2
@@ -161,7 +161,7 @@ class McmcConfig:
         lowest = {"n_chains": 1, "burn_in": 0, "n_iter": 1, "thin": 1, "seed": 0}
         for name, least in lowest.items():
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < least:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
@@ -663,35 +663,35 @@ def run_chains(
 ) -> list[ChainStore]:
     """Run ``config.n_chains`` independent chains (ids 1..n), in id order.
 
-    A frailty fit with several chains runs them in ``min(n_chains, usable
-    CPUs)`` processes: chain 1 in the calling process, the others shared out
-    among workers forked from it, each of which sends its stores back through
-    a pipe.  The simple family, one chain, one usable CPU, a platform without
-    ``fork`` or ``os.sched_getaffinity``, and a daemonic calling process run
-    every chain in the calling process, one after another.  Each chain's
-    draws are the same either way; its ``wall_time_s`` is the time it took in
-    the process that ran it.  A worker's ``ChainAbortError`` is raised here
-    with its message, a worker that exits without a result raises one naming
-    its chains, and every worker is reaped before this returns or raises.
+    The chains run in ``n_procs`` processes: one for the simple family or a
+    daemonic calling process, else ``min(n_chains, usable CPUs)``, where a
+    platform without ``fork`` or ``os.sched_getaffinity`` has one usable CPU.
+    Process ``p`` runs chain ids ``p + 1, p + 1 + n_procs, ...`` in turn; the
+    calling process is ``p = 0``, and the other ``n_procs - 1`` are workers
+    forked from it, each of which sends its stores back through a pipe.  With
+    one process nothing is forked.  Each chain's draws are the same wherever
+    it runs; its ``wall_time_s`` is the time it took in the process that ran
+    it.  A worker's ``ChainAbortError`` is raised here with its message, a
+    worker that exits without a result raises one naming its chains, and
+    every worker is reaped before this returns or raises.
     """
-    others = list(range(2, config.n_chains + 1))
-    n_workers = min(len(others), _usable_cpus() - 1)
-    if not spec.is_frailty or n_workers < 1 or multiprocessing.current_process().daemon:
-        return [run_chain(spec, data, config, chain_id=c) for c in range(1, config.n_chains + 1)]
+    chain_ids = range(1, config.n_chains + 1)
+    daemonic = multiprocessing.current_process().daemon
+    n_procs = 1 if not spec.is_frailty or daemonic else min(config.n_chains, _usable_cpus())
     # Forked, not spawned: a worker starts with this process's modules and
     # fit inputs already in memory, so nothing is imported or pickled on the
     # way in.
-    fork = multiprocessing.get_context("fork")
+    fork = multiprocessing.get_context("fork") if n_procs > 1 else None
     workers = []
     try:
-        for w in range(n_workers):
-            ids = others[w::n_workers]
+        for p in range(1, n_procs):
+            ids = chain_ids[p::n_procs]
             recv, send = fork.Pipe(duplex=False)
             proc = fork.Process(target=_run_share, args=(send, spec, data, config, ids), daemon=True)
             proc.start()
             send.close()  # so recv() meets EOF if the worker dies without a result
             workers.append((proc, recv, ids))
-        stores = [run_chain(spec, data, config, chain_id=1)]
+        stores = [run_chain(spec, data, config, chain_id=c) for c in chain_ids[::n_procs]]
         for proc, recv, ids in workers:
             stores += _receive(proc, recv, ids)
     finally:

@@ -21,8 +21,10 @@ into per-interval counts and weighted time at risk, under which the rates
 factorize as lambda_j^{d_j} * exp(-lambda_j * R_j).  Two likelihood modes are
 exposed everywhere: ``augmented`` treats the current (possibly imputed) time
 of every record as an event time, matching the data-augmentation scheme used
-inside the sampler; the default marginal mode scores censored records by
-their log-survival at the censoring time.
+inside the sampler; marginal mode scores censored records by their
+log-survival at the censoring time.  ``sufficient_stats`` and
+``joint_log_density`` default to augmented mode, ``log_likelihood`` to
+marginal mode.
 """
 
 from __future__ import annotations

@@ -134,6 +134,20 @@ def test_fit_statistical_outputs_reproducible(tmp_path):
     assert ma == mb
 
 
+def test_manifest_lists_only_the_files_this_run_wrote(tmp_path):
+    # a 3-chain fit left chain_3 files in the directory a 2-chain fit reuses
+    out = tmp_path / "run"
+    args = ["fit", "--model", "simple", "--data", "kidney", "--m", "3", "--burnin", "10",
+            "--iters", "100", "--seed", "1", "--out", str(out)]
+    assert main(args + ["--chains", "3"]) == 0
+    (out / "notes.txt").write_text("kept by hand\n")
+    assert main(args + ["--chains", "2"]) == 0
+    assert (out / "chain_3.csv").exists() and (out / "chain_3_meta.json").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["outputs"]) == {"summary.csv", "summary.txt", "chain_1.csv", "chain_2.csv"}
+    assert manifest["metadata_files"] == ["chain_1_meta.json", "chain_2_meta.json"]
+
+
 def test_fit_explicit_grid_and_csv_data(tmp_path):
     data = _toy_csv(tmp_path)
     out = tmp_path / "run"
@@ -232,16 +246,21 @@ def test_simulate_covered_flags_are_binary(tmp_path):
     assert {r.rsplit(",", 1)[1] for r in rows} <= {"0", "1"}
 
 
-@pytest.mark.parametrize("flag, value", [("--n", "-1"), ("--n", "0"), ("--reps", "0")])
-def test_simulate_sizes_below_one_are_validation_errors(tmp_path, capsys, flag, value):
+@pytest.mark.parametrize(
+    "flag, value, least",
+    [("--n", "-1", 1), ("--n", "0", 1), ("--reps", "0", 1), ("--seed", "-1", 0)],
+    ids=["--n--1", "--n-0", "--reps-0", "--seed--1"],
+)
+def test_simulate_sizes_below_one_are_validation_errors(tmp_path, capsys, flag, value, least):
     # --n -1 failed in numpy ("negative dimensions are not allowed"); --reps 0
-    # wrote an empty results.csv and exited 0
-    args = {"--n": "50", "--reps": "1", flag: value}
+    # wrote an empty results.csv and exited 0; --seed -1 failed in numpy
+    # ("expected non-negative integer") after --out was made
+    args = {"--n": "50", "--reps": "1", "--seed": "1", flag: value}
     out = tmp_path / "sim"
-    rc = main(["simulate", "--scenario", "s1", "--seed", "1", "--out", str(out),
+    rc = main(["simulate", "--scenario", "s1", "--out", str(out),
                *[v for item in args.items() for v in item]])
     assert rc == 2
-    assert f"{flag} must be at least 1" in capsys.readouterr().err
+    assert f"{flag} must be at least {least}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import multiprocessing
 import os
 import signal
@@ -659,7 +660,7 @@ def test_thin_above_n_iter_is_rejected_up_front():
 
 def test_bad_seed_is_rejected_up_front():
     # would construct, then fail inside numpy's SeedSequence once the chains ran
-    for bad in (-1, 1.5, "3", None):
+    for bad in (-1, 1.5, "3", None, True):
         with pytest.raises(ValueError, match="seed"):
             McmcConfig(seed=bad)
     for good in (0, 7, np.int64(7), np.uint32(7)):
@@ -670,8 +671,9 @@ def test_bad_seed_is_rejected_up_front():
 @pytest.mark.parametrize("name", ["n_chains", "burn_in", "n_iter", "thin"])
 def test_chain_layout_must_be_integers(name):
     # a float n_iter would construct, then fail inside run_chain with a bare
-    # TypeError; a numpy integer would run, then fail in write_metadata
-    for bad in (100.0, "100", None):
+    # TypeError; a numpy integer would run, then fail in write_metadata; a bool
+    # would be stored as 0 or 1
+    for bad in (100.0, "100", None, True):
         with pytest.raises(ValueError, match=name):
             McmcConfig(**{name: bad})
     value = getattr(McmcConfig(**{name: np.int64(1)}), name)
@@ -900,8 +902,9 @@ def _raise_boom():
     ids=["host-cpus-3-chains", "one-cpu-3-chains", "three-cpus-4-chains"],
 )
 def test_chains_in_workers_equal_chains_run_one_by_one(monkeypatch, forks, family, cpus, n_chains):
-    # More chains than CPUs, so a worker runs two chains: on a 2-CPU host
-    # chains 2 and 3; on three CPUs, chains 2 and 4 in one worker, 3 in the other.
+    # More chains than CPUs, so a process runs two chains: on a 2-CPU host the
+    # caller runs chains 1 and 3, its worker chain 2; on three CPUs the caller
+    # runs chains 1 and 4, one worker chain 2 and the other chain 3.
     if cpus is not None:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     spec, data, cfg = _kidney_fit(family, n_chains)
@@ -955,6 +958,58 @@ def test_abort_in_the_calling_process_reaps_the_workers(monkeypatch):
     with _deadline(60), pytest.raises(ChainAbortError) as info:
         run_chains(spec, data, cfg)
     assert str(info.value) == "chain 1 aborted at iteration 0: boom"
+    assert multiprocessing.active_children() == []
+
+
+def _stamp_pids(monkeypatch):
+    """Record in each store's meta the id of the process that ran its chain."""
+    real = mcmc.run_chain
+
+    def stamped(*args, **kwargs):
+        store = real(*args, **kwargs)
+        store.meta["pid"] = os.getpid()
+        return store
+
+    monkeypatch.setattr(mcmc, "run_chain", stamped)
+
+
+@needs_fork
+@pytest.mark.parametrize(
+    "cpus, shares",
+    [({0, 1}, [{1, 3}, {2, 4}]), ({0, 1, 2}, [{1, 4}, {2}, {3}])],
+    ids=["two-cpus", "three-cpus"],
+)
+def test_every_process_takes_an_equal_share_of_the_chain_ids(monkeypatch, cpus, shares):
+    # shares[0] runs in the calling process, each other share in one worker
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    _stamp_pids(monkeypatch)
+    spec, data, cfg = _kidney_fit(FAMILY_GAMMA_CHAIN, 4)
+    with _deadline(60):
+        stores = run_chains(spec, data, cfg)
+    by_pid = {}
+    for store in stores:
+        by_pid.setdefault(store.meta["pid"], set()).add(store.meta["chain_id"])
+    assert by_pid.pop(os.getpid()) == shares[0]
+    assert sorted(by_pid.values(), key=min) == shares[1:]
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_abort_in_the_callers_second_chain_reaps_the_workers(monkeypatch):
+    # Two CPUs, four chains: the caller runs chains 1 and 3, so its first sweep
+    # past chain 1's is chain 3's first.  The worker would never finish.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    spec, data, cfg = _kidney_fit(FAMILY_GAMMA_CHAIN, 4)
+    sweeps = itertools.count(1)
+
+    def boom_in_chain_3():
+        if next(sweeps) > cfg.burn_in + cfg.n_iter:
+            _raise_boom()
+
+    _patch_sweep(monkeypatch, in_caller=boom_in_chain_3, in_worker=lambda: time.sleep(3600))
+    with _deadline(60), pytest.raises(ChainAbortError) as info:
+        run_chains(spec, data, cfg)
+    assert str(info.value) == "chain 3 aborted at iteration 0: boom"
     assert multiprocessing.active_children() == []
 
 
