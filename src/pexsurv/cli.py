@@ -136,8 +136,6 @@ def _resolve_grid(args, data) -> TimeGrid:
 
 
 def _cmd_fit(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     data = load_kidney() if args.data == "kidney" else read_dataset_csv(args.data)
     if not data.n_records:
         raise CliError(f"dataset {args.data} has no records")
@@ -152,6 +150,8 @@ def _cmd_fit(args) -> int:
     )
     if config.n_iter // config.thin < 100:
         raise CliError("need at least 100 retained draws per chain (iters / thin >= 100)")
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     start = time.perf_counter()
     chains = run_chains(spec, data, config)

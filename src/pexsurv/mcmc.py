@@ -1,13 +1,18 @@
-"""Seed-reproducible Gibbs sampler for the piecewise exponential models.
+"""Seed-reproducible samplers for the piecewise exponential models.
 
 The public entry points are ``run_chain`` / ``run_chains`` and the scalar
-slice kernel ``update_scalar_slice``.  Every block of the sweep is a method of
-one private fit context, built once per chain, which holds the only
-implementation of each update.
+slice kernel ``update_scalar_slice``.
 
-Each sweep updates, in this fixed order: imputed censored times, the rates
-(conjugate Gamma draws where the prior is conjugate, slice sampling
-otherwise), and, for the frailty families, three more blocks:
+The simple family's rates are independent a posteriori: given the events
+``d`` and the exposure ``R`` up to each record's observed or censoring time
+(censored records enter through their survival term), lambda_j ~ Gamma(a +
+d_j, b + R_j).  ``run_chain`` computes ``(d, R)`` once and takes the whole
+chain as exact, independent draws in one call.
+
+The frailty families run a Gibbs sweep.  Every block of it is a method of
+one private fit context, built once per chain, which holds the only
+implementation of each update.  Each sweep updates, in this fixed order:
+imputed censored times, the rates (slice sampled), and three more blocks:
 
 * (eta, z), partially collapsed: eta is sliced on the log scale with the
   frailties integrated out, then every frailty takes its exact Gamma draw
@@ -26,18 +31,14 @@ machine and library versions gives bit-identical output; one chain owns its
 generator and state exclusively.  A chain's draws therefore do not depend on
 the process that runs it: ``run_chains`` shares a frailty fit's chain ids
 equally among the calling process and forked workers, at most one process per
-usable CPU, and runs the simple family's chains, which last milliseconds,
-about what forking a worker costs, in the calling process.
+usable CPU, and runs the simple family's chains, one call each, in the
+calling process.
 
 Inputs are validated once, by the public constructors (``TimeGrid``,
 ``PiecewiseExponential``, ``SurvivalRecord``, ``ModelSpec``); the sweep then
 evaluates H and its inverse from trusted ``(cuts, cum, rates)`` arrays with
 the plain functions of :mod:`pexsurv.distribution` and builds no
 distribution object.
-
-The simple family's sufficient statistics ``(d, R)`` depend only on the
-working times, so when no time is imputed (no censored record, or
-``impute=False``) they are computed once per chain and reused by every sweep.
 
 Scalar slice sampling follows the stepping-out / shrinkage scheme: the
 bracket grows by its width up to 50 total expansions (an exceeded cap simply
@@ -83,7 +84,6 @@ from .distribution import (
 )
 from .models import (
     FAMILY_GAMMA_CHAIN,
-    FAMILY_SIMPLE,
     ModelSpec,
     ParamState,
     initial_state,
@@ -133,18 +133,18 @@ class McmcConfig:
     bools, stored as ``int``; a value out of range is rejected with a message
     naming its field.  ``n_iter`` counts post-burn-in iterations; ``n_iter //
     thin`` draws are retained, so ``thin`` may not exceed ``n_iter``; ``seed``
-    is non-negative.  The samplers are fixed per block: the simple family's
-    rates take their exact conjugate Gamma draw, whose ``(d, R)`` are
-    computed once per chain when no time is imputed; the frailty families
-    draw (eta, z) as one collapsed block, then rescale every frailty against
-    the rates (z -> c z, lambda -> lambda / c) and move each coefficient
-    along its centred covariate; each slice coordinate steps out with width
-    1.0 during burn-in and, after it, with a width tuned from its burn-in
-    jumps (recorded as ``slice_widths`` in the chain metadata, the rescale's
-    as ``frailty_scale``), by at most 50 expansions.
-    ``impute`` is a Python or numpy bool, stored as ``bool``; ``False``
-    switches censored records to their analytic log-survival contribution
-    instead of data augmentation.  Where the chains run is not configured:
+    is non-negative.  The samplers are fixed per family: the simple family's
+    rates are exact, independent conjugate Gamma draws; the frailty families
+    slice the rates, draw (eta, z) as one collapsed block, then rescale every
+    frailty against the rates (z -> c z, lambda -> lambda / c) and move each
+    coefficient along its centred covariate; each slice coordinate steps out
+    with width 1.0 during burn-in and, after it, with a width tuned from its
+    burn-in jumps (recorded as ``slice_widths`` in the chain metadata, the
+    rescale's as ``frailty_scale``), by at most 50 expansions.
+    ``impute`` is a Python or numpy bool, stored as ``bool``; for the frailty
+    families ``False`` switches censored records to their analytic
+    log-survival contribution instead of data augmentation, which the simple
+    family always uses.  Where the chains run is not configured:
     ``run_chains`` runs the simple family's in the calling process and shares
     a frailty fit's equally among it and forked workers, at most one process
     per usable CPU; the draws are the same wherever a chain runs.
@@ -247,7 +247,7 @@ def update_scalar_slice(log_density, x0, rng, width=1.0):
 
 
 class _FitContext:
-    """Precomputed data views shared by every sweep of one fit, and its blocks.
+    """Precomputed data views shared by every sweep of one frailty fit, and its blocks.
 
     ``augmented`` is the likelihood mode (``McmcConfig.impute``).  Grid, data
     and specification were validated by their constructors, so the sweep
@@ -268,7 +268,7 @@ class _FitContext:
         # function of the increment dx = x_j - x_{j-1} (x_0 = 0), up to a
         # constant.  For the gamma chain it includes the log-scale Jacobian
         # and reads -inf where e^dx would overflow.  Every target that moves
-        # the rates reads it; the simple family's rates do not.
+        # the rates reads it.
         if spec.family == FAMILY_GAMMA_CHAIN:
 
             def link(dx, a=h.alpha, exp=math.exp):
@@ -306,20 +306,14 @@ class _FitContext:
             xc = self.X[:, k] - xbar[k]
             lo, hi = xc.min(initial=0.0), xc.max(initial=0.0)
             self.centred.append((xc, float(xbar[k]), float(lo), float(hi), float(dens @ xc)))
-        # The simple family's (d, R) depend only on the working times, which
-        # move only when censored times are imputed; otherwise the first
-        # rate update computes them and every later sweep reuses them.
-        self.fixed_stats = spec.family == FAMILY_SIMPLE and not (augmented and self.cens_idx.size)
-        self.stats = None
         self.monitor_names = [f"lambda[{j}]" for j in range(1, self.m + 1)]
-        if spec.is_frailty:
-            self.monitor_names += [f"beta_{n}" for n in data.covariate_names]
-            self.monitor_names += ["eta", "kappa"]
+        self.monitor_names += [f"beta_{n}" for n in data.covariate_names]
+        self.monitor_names += ["eta", "kappa"]
         # Slice coordinates, named after their parameter: the rates (log
         # lambda_j or xi_j), each coefficient's shift delta, log eta, then
         # the frailty rescale's log c.  Their jumps are summed on every sweep
         # and read once, when run_chain freezes the widths after burn-in.
-        self.slice_names = self.monitor_names[:-1] + ["frailty_scale"] if spec.is_frailty else []
+        self.slice_names = self.monitor_names[:-1] + ["frailty_scale"]
         self.slice_widths = [1.0] * len(self.slice_names)
         self.jump_sums = [0.0] * len(self.slice_names)
 
@@ -383,10 +377,7 @@ class _FitContext:
             raise UnreachableMassError(
                 "zero-rate tail: censored times cannot be imputed above their bounds"
             )
-        if self.spec.is_frailty:
-            w = np.exp(self.X[idx] @ state.beta) * state.z[self.subj[idx]]
-        else:
-            w = np.ones(idx.size)
+        w = np.exp(self.X[idx] @ state.beta) * state.z[self.subj[idx]]
         u = np.maximum(rng.random(idx.size), np.nextafter(0.0, 1.0))
         bounds = self.marg_times[idx]
         with np.errstate(over="ignore"):  # checked below
@@ -399,24 +390,14 @@ class _FitContext:
         state.times[idx] = times
 
     def update_rates(self, state, rng):
-        h = self.h
-        st = self.stats
-        if st is None:
-            st = sufficient_stats(state, self.spec, self.data, augmented=self.augmented)
-            if self.fixed_stats:
-                self.stats = st
-        d, risk = st.d, st.exposure
-        if self.spec.family == FAMILY_SIMPLE:
-            state.rates = rng.gamma(h.gamma_shape + d, 1.0 / (h.gamma_rate + risk))
-            return
-
         # Each rate is sliced on x = log lambda_j (xi_j for the random walk),
         # with x_0 = 0 before the first: its likelihood d_j x - R_j e^x, the
         # link from the rate before and, but for the last rate, the link to
         # the rate after.  The targets do plain float arithmetic on d, R and
         # the log-rates, taken out of numpy once per block, and read -inf
         # where e^x would not be a positive, finite double.
-        d, risk = d.tolist(), risk.tolist()
+        st = sufficient_stats(state, self.spec, self.data, augmented=self.augmented)
+        d, risk = st.d.tolist(), st.exposure.tolist()
         widths, jumps = self.slice_widths, self.jump_sums
         link = self.link
         xi = np.log(state.rates).tolist()
@@ -564,22 +545,17 @@ class _FitContext:
         if self.augmented and self.cens_idx.size:
             self.impute(state, rng)
         self.update_rates(state, rng)
-        if self.spec.is_frailty:
-            # beta and the rates are fixed until update_scale; the rescale
-            # leaves each record's weight z e^{x' beta} H as it is.
-            expb = np.exp(self.X @ state.beta)
-            cumhaz = self.cum_hazard(state)
-            self.update_eta(state, rng, expb, cumhaz)
-            weight = state.z[self.subj] * expb * cumhaz
-            self.update_scale(state, rng)
-            self.update_beta(state, rng, weight)
+        # beta and the rates are fixed until update_scale; the rescale leaves
+        # each record's weight z e^{x' beta} H as it is.
+        expb = np.exp(self.X @ state.beta)
+        cumhaz = self.cum_hazard(state)
+        self.update_eta(state, rng, expb, cumhaz)
+        weight = state.z[self.subj] * expb * cumhaz
+        self.update_scale(state, rng)
+        self.update_beta(state, rng, weight)
 
     def monitor_values(self, state):
-        vals = list(state.rates)
-        if self.spec.is_frailty:
-            vals += list(state.beta)
-            vals += [state.eta, state.kappa]
-        return vals
+        return [*state.rates, *state.beta, state.eta, state.kappa]
 
 
 # -- chain runner ------------------------------------------------------------
@@ -620,28 +596,46 @@ def run_chain(
 ) -> ChainStore:
     """Run one chain; returns retained draws after burn-in and thinning.
 
-    Any update failure aborts the chain with the iteration index attached.
+    A frailty chain starts from ``init`` (by default ``initial_state``), and
+    any update failure aborts it with the iteration index attached.  The
+    simple family's draws are independent of each other and of ``init``.
     """
-    ctx = _FitContext(spec, data, config.impute)
-    rng = _ChainSource(chain_rng(config.seed, chain_id))
+    gen = chain_rng(config.seed, chain_id)
     state = init.copy() if init is not None else initial_state(spec, data)
     kept = config.n_iter // config.thin
-    buf = np.empty((kept, len(ctx.monitor_names)))
-    row = 0
     start = time.perf_counter()
-    for it in range(config.burn_in + config.n_iter):
-        if it == config.burn_in:
-            ctx.freeze_widths(it)
-        try:
-            ctx.sweep(state, rng)
-            k = it - config.burn_in
-            if k >= 0 and (k + 1) % config.thin == 0 and row < kept:
-                buf[row] = ctx.monitor_values(state)
-                row += 1
-        except Exception as exc:
-            raise ChainAbortError(f"chain {chain_id} aborted at iteration {it}: {exc}") from exc
+    if spec.is_frailty:
+        ctx = _FitContext(spec, data, config.impute)
+        rng = _ChainSource(gen)
+        names, buf, row = ctx.monitor_names, np.empty((kept, len(ctx.monitor_names))), 0
+        for it in range(config.burn_in + config.n_iter):
+            if it == config.burn_in:
+                ctx.freeze_widths(it)
+            try:
+                ctx.sweep(state, rng)
+                k = it - config.burn_in
+                if k >= 0 and (k + 1) % config.thin == 0 and row < kept:
+                    buf[row] = ctx.monitor_values(state)
+                    row += 1
+            except Exception as exc:
+                raise ChainAbortError(f"chain {chain_id} aborted at iteration {it}: {exc}") from exc
+        widths = dict(zip(ctx.slice_names, ctx.slice_widths))
+    else:
+        # (d, R) count censored records through their survival term, so no
+        # draw moves them.  Every row, burn-in included, comes from one call,
+        # which numpy fills in C order, as a loop of one draw per sweep would.
+        h, m = spec.hyper, spec.grid.m
+        st = sufficient_stats(state, spec, data, augmented=False)
+        rows = gen.gamma(
+            h.gamma_shape + st.d,
+            1.0 / (h.gamma_rate + st.exposure),
+            size=(config.burn_in + config.n_iter, m),
+        )
+        names = [f"lambda[{j}]" for j in range(1, m + 1)]
+        buf = rows[config.burn_in + config.thin - 1 :: config.thin]  # n_iter // thin rows
+        widths = {}
     wall = time.perf_counter() - start
-    draws = {name: buf[:, i].copy() for i, name in enumerate(ctx.monitor_names)}
+    draws = {name: buf[:, i].copy() for i, name in enumerate(names)}
     meta = {
         "chain_id": chain_id,
         "seed": config.seed,
@@ -650,7 +644,7 @@ def run_chain(
         "grid": list(spec.grid.cut_points),
         "config": asdict(config),
         "n_recorded": kept,
-        "slice_widths": dict(zip(ctx.slice_names, ctx.slice_widths)),
+        "slice_widths": widths,
         "wall_time_s": wall,
     }
     return ChainStore(draws=draws, meta=meta)

@@ -196,6 +196,18 @@ def test_fit_negative_seed_is_validation_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "flag, value", [("--seed", "-1"), ("--iters", "50"), ("--grid", "0,2,1")]
+)
+def test_rejected_fit_creates_no_out_directory(tmp_path, flag, value):
+    args = {"--seed": "1", "--iters": "100", "--grid": "equal", flag: value}
+    out = tmp_path / "x"
+    rc = main(["fit", "--model", "simple", "--data", "kidney", "--m", "3", "--chains", "1",
+               "--burnin", "10", "--out", str(out), *[v for item in args.items() for v in item]])
+    assert rc == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "flag, value, message",
     [
         ("--chains", "0", "n_chains must be at least 1, got 0"),

@@ -134,14 +134,8 @@ def test_slice_histogram_mass_preserved():
 
 def test_conjugate_rates_with_no_data_draw_from_prior():
     spec = ModelSpec(FAMILY_SIMPLE, TimeGrid((0.0,)))
-    data = SurvivalDataset([])
-    state = initial_state(spec, data)
-    ctx = mcmc._FitContext(spec, data, augmented=True)
-    rng = np.random.default_rng(17)
-    draws = np.empty(50_000)
-    for i in range(draws.size):
-        ctx.update_rates(state, rng)
-        draws[i] = state.rates[0]
+    cfg = McmcConfig(n_chains=1, burn_in=0, n_iter=50_000, seed=17)
+    draws = run_chain(spec, SurvivalDataset([]), cfg).draws["lambda[1]"]
     res = stats.kstest(draws, "gamma", args=(0.01, 0, 1 / 0.01))
     assert res.pvalue > 0.001
 
@@ -156,27 +150,35 @@ def _grid_moments(xs, log_vals):
 
 
 def test_conjugate_rate_full_conditional_matches_numeric():
+    # Gamma(a + d_j, b + R_j) is the rate's conditional in either mode; in
+    # marginal mode, the simple chain's, a censored record adds exposure up
+    # to its censoring time and no event.
     rng = np.random.default_rng(55)
     spec = ModelSpec(FAMILY_SIMPLE, GRID4)
-    data = _uncensored_dataset((0.4, 0.7, 0.9, 1.2), 80, 2)
-    state = initial_state(spec, data)
-    state.rates = rng.gamma(2.0, 0.5, 4)
-    st = sufficient_stats(state, spec, data)
-    j = 1
-    shape, rate = 0.01 + st.d[j], 0.01 + st.exposure[j]
-    xs = np.linspace(
-        stats.gamma.ppf(1e-12, shape, scale=1 / rate),
-        stats.gamma.ppf(1 - 1e-12, shape, scale=1 / rate),
-        4001,
-    )
-    probe = state.copy()
-    vals = np.empty(xs.size)
-    for i, v in enumerate(xs):
-        probe.rates[j] = v
-        vals[i] = joint_log_density(probe, spec, data)
-    mean, var = _grid_moments(xs, vals)
-    assert mean == pytest.approx(shape / rate, rel=1e-4)
-    assert var == pytest.approx(shape / rate**2, rel=1e-4)
+    rates = (0.4, 0.7, 0.9, 1.2)
+    cases = [
+        (_uncensored_dataset(rates, 80, 2), True),
+        (_partially_censored_dataset(rates, 80, 2), False),
+    ]
+    for data, augmented in cases:
+        state = initial_state(spec, data)
+        state.rates = rng.gamma(2.0, 0.5, 4)
+        st = sufficient_stats(state, spec, data, augmented=augmented)
+        j = 1
+        shape, rate = 0.01 + st.d[j], 0.01 + st.exposure[j]
+        xs = np.linspace(
+            stats.gamma.ppf(1e-12, shape, scale=1 / rate),
+            stats.gamma.ppf(1 - 1e-12, shape, scale=1 / rate),
+            4001,
+        )
+        probe = state.copy()
+        vals = np.empty(xs.size)
+        for i, v in enumerate(xs):
+            probe.rates[j] = v
+            vals[i] = joint_log_density(probe, spec, data, augmented=augmented)
+        mean, var = _grid_moments(xs, vals)
+        assert mean == pytest.approx(shape / rate, rel=1e-4)
+        assert var == pytest.approx(shape / rate**2, rel=1e-4)
 
 
 def _captured_targets(monkeypatch):
@@ -546,11 +548,13 @@ def test_coefficient_moves_cost_the_same_on_any_covariate_scale(monkeypatch):
 
 
 # -- imputation -------------------------------------------------------------------
+# Only the frailty families impute.  With no covariate and every z at 1, as
+# initial_state leaves them, each record's imputation weight is 1.
 
 
 def test_imputed_values_exceed_censor_times():
     data = _partially_censored_dataset(S1, 200, 4)
-    spec = ModelSpec(FAMILY_SIMPLE, GRID4)
+    spec = ModelSpec(FAMILY_GAMMA_CHAIN, GRID4)
     state = initial_state(spec, data)
     mcmc._FitContext(spec, data, augmented=True).impute(state, np.random.default_rng(1))
     cens = ~data.event_flags
@@ -562,7 +566,7 @@ def test_imputation_memoryless_under_constant_rates():
     c = 0.7
     recs = [SurvivalRecord(i + 1, 1, None, 0, 1.5) for i in range(4000)]
     data = SurvivalDataset(recs)
-    spec = ModelSpec(FAMILY_SIMPLE, GRID4)
+    spec = ModelSpec(FAMILY_GAMMA_CHAIN, GRID4)
     state = initial_state(spec, data)
     state.rates = np.full(4, c)
     mcmc._FitContext(spec, data, augmented=True).impute(state, np.random.default_rng(3))
@@ -572,7 +576,7 @@ def test_imputation_memoryless_under_constant_rates():
 
 def test_imputation_beyond_last_cut_is_finite():
     data = SurvivalDataset([SurvivalRecord(1, 1, None, 0, 50.0)])
-    spec = ModelSpec(FAMILY_SIMPLE, GRID4)
+    spec = ModelSpec(FAMILY_GAMMA_CHAIN, GRID4)
     state = initial_state(spec, data)
     mcmc._FitContext(spec, data, augmented=True).impute(state, np.random.default_rng(23))
     assert np.isfinite(state.times[0]) and state.times[0] > 50.0
@@ -580,7 +584,7 @@ def test_imputation_beyond_last_cut_is_finite():
 
 def test_imputation_zero_tail_aborts_chain():
     data = SurvivalDataset([SurvivalRecord(1, 1, None, 0, 50.0)])
-    spec = ModelSpec(FAMILY_SIMPLE, GRID4)
+    spec = ModelSpec(FAMILY_GAMMA_CHAIN, GRID4)
     state = initial_state(spec, data)
     state.rates = np.array([1.0, 1.0, 1.0, 0.0])
     with pytest.raises(Exception, match="zero-rate tail"):
@@ -704,37 +708,44 @@ def test_impute_must_be_a_bool():
     [
         (_uncensored_dataset(S1, 120, 31), True),
         (_partially_censored_dataset(S1, 120, 32), False),
+        (_partially_censored_dataset(S1, 120, 32), True),
     ],
-    ids=["uncensored-imputing", "censored-marginal"],
+    ids=["uncensored-imputing", "censored-marginal", "censored-imputing"],
 )
 def test_reused_statistics_give_the_per_sweep_reference_draws(data, impute):
+    # impute applies to the frailty families only: the simple chain counts
+    # censored records through their survival term either way.
     spec = ModelSpec(FAMILY_SIMPLE, GRID4)
-    cfg = McmcConfig(n_chains=1, burn_in=5, n_iter=30, seed=19, impute=impute)
-    store = run_chain(spec, data, cfg)
-
-    # reference loop: (d, R) recomputed from the state on every sweep
     h = spec.hyper
-    rng = chain_rng(19, 1)
-    state = initial_state(spec, data)
-    ref = []
-    for _ in range(cfg.burn_in + cfg.n_iter):
-        st = sufficient_stats(state, spec, data, augmented=impute)
-        state.rates = rng.gamma(h.gamma_shape + st.d, 1.0 / (h.gamma_rate + st.exposure))
-        ref.append(state.rates)
-    got = np.column_stack([store.draws[f"lambda[{j}]"] for j in range(1, GRID4.m + 1)])
-    assert np.array_equal(got, np.array(ref[cfg.burn_in:]))
+    for thin, burn_in in itertools.product((1, 3), (0, 5)):
+        cfg = McmcConfig(n_chains=1, burn_in=burn_in, n_iter=30, thin=thin, seed=19, impute=impute)
+        store = run_chain(spec, data, cfg)
+
+        # reference loop: one Gamma draw per sweep, (d, R) recomputed each time
+        rng = chain_rng(19, 1)
+        state = initial_state(spec, data)
+        ref = []
+        for it in range(burn_in + cfg.n_iter):
+            st = sufficient_stats(state, spec, data, augmented=False)
+            state.rates = rng.gamma(h.gamma_shape + st.d, 1.0 / (h.gamma_rate + st.exposure))
+            if it >= burn_in and (it - burn_in + 1) % thin == 0:
+                ref.append(state.rates)
+        got = np.column_stack([store.draws[f"lambda[{j}]"] for j in range(1, GRID4.m + 1)])
+        assert np.array_equal(got, np.array(ref)), (thin, burn_in)
 
 
 @pytest.mark.parametrize(
-    "family, data, once_per_chain",
+    "family, data",
     [
-        (FAMILY_SIMPLE, _uncensored_dataset(S1, 60, 33), True),
-        (FAMILY_SIMPLE, _partially_censored_dataset(S1, 60, 34), False),
-        (FAMILY_GAMMA_CHAIN, _uncensored_dataset(S1, 60, 35), False),
+        (FAMILY_SIMPLE, _uncensored_dataset(S1, 60, 33)),
+        (FAMILY_SIMPLE, _partially_censored_dataset(S1, 60, 34)),
+        (FAMILY_GAMMA_CHAIN, _uncensored_dataset(S1, 60, 35)),
     ],
     ids=["simple-fixed-times", "simple-imputing", "gamma-chain"],
 )
-def test_sufficient_stats_calls_per_fit(monkeypatch, family, data, once_per_chain):
+def test_sufficient_stats_calls_per_fit(monkeypatch, family, data):
+    # The simple chain takes (d, R) once, censored or not, with the default
+    # impute=True; a frailty chain once per sweep.
     calls = []
     real = mcmc.sufficient_stats
 
@@ -749,7 +760,7 @@ def test_sufficient_stats_calls_per_fit(monkeypatch, family, data, once_per_chai
     for c in range(1, cfg.n_chains + 1):
         run_chain(ModelSpec(family, GRID4), data, cfg, chain_id=c)
     sweeps = cfg.burn_in + cfg.n_iter
-    assert len(calls) == cfg.n_chains * (1 if once_per_chain else sweeps)
+    assert len(calls) == cfg.n_chains * (1 if family == FAMILY_SIMPLE else sweeps)
 
 
 @pytest.mark.parametrize(
@@ -757,7 +768,8 @@ def test_sufficient_stats_calls_per_fit(monkeypatch, family, data, once_per_chai
 )
 def test_sweeps_build_no_distribution_object(monkeypatch, family):
     # Only initial_state builds a PiecewiseExponential (for the censored
-    # records' starting times); the sweep works on trusted arrays.
+    # records' starting times); the simple chain's (d, R) and the frailty
+    # sweep work on trusted arrays.
     data = _partially_censored_dataset(S1, 60, 36)
     built = []
     real = PiecewiseExponential.__init__
@@ -816,7 +828,7 @@ def test_monitored_quantities_present():
 
 def test_chain_abort_carries_iteration_index():
     data = SurvivalDataset([SurvivalRecord(1, 1, None, 0, 50.0)])
-    spec = ModelSpec(FAMILY_SIMPLE, GRID4)
+    spec = ModelSpec(FAMILY_GAMMA_CHAIN, GRID4)
     cfg = McmcConfig(n_chains=1, burn_in=0, n_iter=10, seed=1)
     bad = initial_state(spec, data)
     bad.rates = np.array([1.0, 1.0, 1.0, 0.0])  # zero-rate tail: imputation cannot proceed
@@ -1048,9 +1060,12 @@ def _pooled_mean_and_mcse(chains, name):
 
 
 def test_imputation_and_analytic_censoring_agree():
+    # eta ~ Gamma(1e6, 1e4), 100 +- 0.1, holds every frailty near 1, so the
+    # test compares the rates' two censoring modes; with the vague default,
+    # kappa mixes too slowly for 1,500 draws to give a reliable MCSE.
     data = _partially_censored_dataset(S1, 150, 501)
-    spec = ModelSpec(FAMILY_SIMPLE, GRID4)
-    base = dict(n_chains=2, burn_in=500, n_iter=3000, thin=1)
+    spec = ModelSpec(FAMILY_GAMMA_CHAIN, GRID4, HyperParams(phi1=1e6, phi2=1e4))
+    base = dict(n_chains=2, burn_in=300, n_iter=1500, thin=1)
     a = run_chains(spec, data, McmcConfig(**base, seed=1, impute=True))
     b = run_chains(spec, data, McmcConfig(**base, seed=3, impute=False))
     for name in a[0].names:
@@ -1078,9 +1093,7 @@ def test_posterior_concentrates_on_true_rates():
 
 # -- joint distribution of one whole sweep (Geweke 2004, "Getting it right") --------
 
-JOINT_HYPER = HyperParams(
-    gamma_shape=3.0, gamma_rate=3.0, alpha=4.0, nu=0.25, phi1=6.0, phi2=3.0, beta_var=0.25
-)
+JOINT_HYPER = HyperParams(alpha=4.0, nu=0.25, phi1=6.0, phi2=3.0, beta_var=0.25)
 JOINT_GRID = TimeGrid((0.0, 0.5, 1.5))
 JOINT_SUBJECT = np.repeat(np.arange(4), 2)  # 4 subjects x 2 replicates
 JOINT_X = np.linspace(-1.0, 1.0, 8)
@@ -1089,10 +1102,8 @@ JOINT_REPS = 1500
 
 
 def _prior_draw(spec, rng):
-    """(rates, beta, z, eta) drawn from the family's prior."""
+    """(rates, beta, z, eta) drawn from the frailty family's prior."""
     h, m = spec.hyper, spec.grid.m
-    if spec.family == FAMILY_SIMPLE:
-        return rng.gamma(h.gamma_shape, 1.0 / h.gamma_rate, m), np.zeros(1), np.ones(4), 1.0
     if spec.family == FAMILY_GAMMA_CHAIN:
         rates = np.empty(m)
         prev = 1.0
@@ -1116,7 +1127,7 @@ def _assert_one_sweep_invariant(family, impute, covariate, width=1.0):
     swept = []
     for rep in range(JOINT_REPS):
         rates, beta, z, eta = _prior_draw(spec, rng)
-        w = np.exp(covariate * beta[0]) * z[JOINT_SUBJECT] if spec.is_frailty else np.ones(8)
+        w = np.exp(covariate * beta[0]) * z[JOINT_SUBJECT]
         pe = PiecewiseExponential(JOINT_GRID, rates)
         times = pe.inverse_cum_hazard(rng.exponential(size=8) / w)
         data = SurvivalDataset(
@@ -1137,18 +1148,17 @@ def _assert_one_sweep_invariant(family, impute, covariate, width=1.0):
     checks = {
         "lambda[1]": [p[0][0] for p in prior],
         "lambda[3]": [p[0][2] for p in prior],
+        "beta_x": [p[1][0] for p in prior],
+        "eta": [p[3] for p in prior],
+        "z1": [p[2][0] for p in prior],  # subject 1's frailty
     }
-    if spec.is_frailty:
-        checks["beta_x"] = [p[1][0] for p in prior]
-        checks["eta"] = [p[3] for p in prior]
-        checks["z1"] = [p[2][0] for p in prior]  # subject 1's frailty
     for name, direct in checks.items():
         res = stats.ks_2samp([s[name] for s in swept], direct)
         assert res.pvalue > 1e-3, (name, res.pvalue)
 
 
 @pytest.mark.parametrize("impute", [True, False])
-@pytest.mark.parametrize("family", [FAMILY_SIMPLE, FAMILY_GAMMA_CHAIN, FAMILY_LOGNORMAL_RW])
+@pytest.mark.parametrize("family", [FAMILY_GAMMA_CHAIN, FAMILY_LOGNORMAL_RW])
 def test_one_sweep_leaves_the_joint_distribution_invariant(family, impute):
     _assert_one_sweep_invariant(family, impute, JOINT_X)
 
