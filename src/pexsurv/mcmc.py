@@ -6,8 +6,9 @@ slice kernel ``update_scalar_slice``.
 The simple family's rates are independent a posteriori: given the events
 ``d`` and the exposure ``R`` up to each record's observed or censoring time
 (censored records enter through their survival term), lambda_j ~ Gamma(a +
-d_j, b + R_j).  ``run_chain`` computes ``(d, R)`` once and takes the whole
-chain as exact, independent draws in one call.
+d_j, b + R_j).  ``run_chains`` computes ``(d, R)`` once per fit and every
+chain takes its exact, independent draws from it, in blocks of
+``_GAMMA_BLOCK`` rows of which only the retained ones are kept.
 
 The frailty families run a Gibbs sweep.  Every block of it is a method of
 one private fit context, built once per chain, which holds the only
@@ -31,7 +32,7 @@ machine and library versions gives bit-identical output; one chain owns its
 generator and state exclusively.  A chain's draws therefore do not depend on
 the process that runs it: ``run_chains`` shares a frailty fit's chain ids
 equally among the calling process and forked workers, at most one process per
-usable CPU, and runs the simple family's chains, one call each, in the
+usable CPU, and runs the simple family's chains one after another in the
 calling process.
 
 Inputs are validated once, by the public constructors (``TimeGrid``,
@@ -115,6 +116,9 @@ _MAX_STEPS = 50
 
 # Scalar uniforms for the slice kernel are drawn this many at a time.
 _UNIFORM_BLOCK = 256
+
+# A simple chain draws its rows of conjugate rates this many at a time.
+_GAMMA_BLOCK = 4096
 
 
 class InvariantViolationError(RuntimeError):
@@ -598,44 +602,62 @@ def run_chain(
 
     A frailty chain starts from ``init`` (by default ``initial_state``), and
     any update failure aborts it with the iteration index attached.  The
-    simple family's draws are independent of each other and of ``init``.
+    simple family's draws are independent of each other and of ``init``, and
+    its ``wall_time_s`` covers the draws, not the ``(d, R)`` they come from.
     """
-    gen = chain_rng(config.seed, chain_id)
     state = init.copy() if init is not None else initial_state(spec, data)
+    if not spec.is_frailty:
+        stats = sufficient_stats(state, spec, data, augmented=False)
+        return _conjugate_chain(spec, config, chain_id, stats)
+    rng = _ChainSource(chain_rng(config.seed, chain_id))
     kept = config.n_iter // config.thin
     start = time.perf_counter()
-    if spec.is_frailty:
-        ctx = _FitContext(spec, data, config.impute)
-        rng = _ChainSource(gen)
-        names, buf, row = ctx.monitor_names, np.empty((kept, len(ctx.monitor_names))), 0
-        for it in range(config.burn_in + config.n_iter):
-            if it == config.burn_in:
-                ctx.freeze_widths(it)
-            try:
-                ctx.sweep(state, rng)
-                k = it - config.burn_in
-                if k >= 0 and (k + 1) % config.thin == 0 and row < kept:
-                    buf[row] = ctx.monitor_values(state)
-                    row += 1
-            except Exception as exc:
-                raise ChainAbortError(f"chain {chain_id} aborted at iteration {it}: {exc}") from exc
-        widths = dict(zip(ctx.slice_names, ctx.slice_widths))
-    else:
-        # (d, R) count censored records through their survival term, so no
-        # draw moves them.  Every row, burn-in included, comes from one call,
-        # which numpy fills in C order, as a loop of one draw per sweep would.
-        h, m = spec.hyper, spec.grid.m
-        st = sufficient_stats(state, spec, data, augmented=False)
-        rows = gen.gamma(
-            h.gamma_shape + st.d,
-            1.0 / (h.gamma_rate + st.exposure),
-            size=(config.burn_in + config.n_iter, m),
-        )
-        names = [f"lambda[{j}]" for j in range(1, m + 1)]
-        buf = rows[config.burn_in + config.thin - 1 :: config.thin]  # n_iter // thin rows
-        widths = {}
-    wall = time.perf_counter() - start
-    draws = {name: buf[:, i].copy() for i, name in enumerate(names)}
+    ctx = _FitContext(spec, data, config.impute)
+    buf, row = np.empty((kept, len(ctx.monitor_names))), 0
+    for it in range(config.burn_in + config.n_iter):
+        if it == config.burn_in:
+            ctx.freeze_widths(it)
+        try:
+            ctx.sweep(state, rng)
+            k = it - config.burn_in
+            if k >= 0 and (k + 1) % config.thin == 0 and row < kept:
+                buf[row] = ctx.monitor_values(state)
+                row += 1
+        except Exception as exc:
+            raise ChainAbortError(f"chain {chain_id} aborted at iteration {it}: {exc}") from exc
+    draws = {name: buf[:, i].copy() for i, name in enumerate(ctx.monitor_names)}
+    widths = dict(zip(ctx.slice_names, ctx.slice_widths))
+    return _chain_store(spec, config, chain_id, draws, widths, start)
+
+
+def _conjugate_chain(spec, config, chain_id, stats) -> ChainStore:
+    """One simple-family chain of exact Gamma(a + d, b + R) rows from ``stats``.
+
+    ``stats`` is the fit's marginal-mode ``(d, R)``, which counts censored
+    records through their survival term, so no draw moves them.  Rows come
+    from ``chain_rng(config.seed, chain_id)`` in blocks of ``_GAMMA_BLOCK``,
+    which numpy fills in C order, as one call or a loop of one draw per sweep
+    would; only the retained rows ``burn_in + thin - 1 :: thin`` are kept, and
+    no row after the last of them is drawn.
+    """
+    gen = chain_rng(config.seed, chain_id)
+    h, m, thin = spec.hyper, spec.grid.m, config.thin
+    shape, scale = h.gamma_shape + stats.d, 1.0 / (h.gamma_rate + stats.exposure)
+    kept = config.n_iter // thin
+    first, stop = config.burn_in + thin - 1, config.burn_in + kept * thin
+    start = time.perf_counter()
+    buf, row = np.empty((m, kept)), 0  # one row per rate, so each is a contiguous draw
+    for lo in range(0, stop, _GAMMA_BLOCK):
+        rows = gen.gamma(shape, scale, size=(min(_GAMMA_BLOCK, stop - lo), m))
+        retained = rows[max(first - lo, (first - lo) % thin) :: thin]
+        buf[:, row : row + len(retained)] = retained.T
+        row += len(retained)
+    draws = {f"lambda[{j}]": buf[j - 1] for j in range(1, m + 1)}
+    return _chain_store(spec, config, chain_id, draws, {}, start)
+
+
+def _chain_store(spec, config, chain_id, draws, widths, start) -> ChainStore:
+    """A chain's store: its draws, and metadata timed from ``start``."""
     meta = {
         "chain_id": chain_id,
         "seed": config.seed,
@@ -643,9 +665,9 @@ def run_chain(
         "family": spec.family,
         "grid": list(spec.grid.cut_points),
         "config": asdict(config),
-        "n_recorded": kept,
+        "n_recorded": config.n_iter // config.thin,
         "slice_widths": widths,
-        "wall_time_s": wall,
+        "wall_time_s": time.perf_counter() - start,
     }
     return ChainStore(draws=draws, meta=meta)
 
@@ -657,21 +679,29 @@ def run_chains(
 ) -> list[ChainStore]:
     """Run ``config.n_chains`` independent chains (ids 1..n), in id order.
 
-    The chains run in ``n_procs`` processes: one for the simple family or a
-    daemonic calling process, else ``min(n_chains, usable CPUs)``, where a
-    platform without ``fork`` or ``os.sched_getaffinity`` has one usable CPU.
-    Process ``p`` runs chain ids ``p + 1, p + 1 + n_procs, ...`` in turn; the
-    calling process is ``p = 0``, and the other ``n_procs - 1`` are workers
-    forked from it, each of which sends its stores back through a pipe.  With
-    one process nothing is forked.  Each chain's draws are the same wherever
-    it runs; its ``wall_time_s`` is the time it took in the process that ran
+    The simple family's chains run one after another in the calling process,
+    all from one marginal-mode ``(d, R)``, computed once per fit; each
+    chain's draws are those ``run_chain`` gives for its id, and its
+    ``wall_time_s`` covers its own draws only, not the shared ``(d, R)``.
+
+    A frailty fit's chains run in ``n_procs`` processes: one for a daemonic
+    calling process, else ``min(n_chains, usable CPUs)``, where a platform
+    without ``fork`` or ``os.sched_getaffinity`` has one usable CPU.  Process
+    ``p`` runs chain ids ``p + 1, p + 1 + n_procs, ...`` in turn; the calling
+    process is ``p = 0``, and the other ``n_procs - 1`` are workers forked
+    from it, each of which sends its stores back through a pipe.  With one
+    process nothing is forked.  Each chain's draws are the same wherever it
+    runs; its ``wall_time_s`` is the time it took in the process that ran
     it.  A worker's ``ChainAbortError`` is raised here with its message, a
     worker that exits without a result raises one naming its chains, and
     every worker is reaped before this returns or raises.
     """
     chain_ids = range(1, config.n_chains + 1)
+    if not spec.is_frailty:
+        stats = sufficient_stats(initial_state(spec, data), spec, data, augmented=False)
+        return [_conjugate_chain(spec, config, c, stats) for c in chain_ids]
     daemonic = multiprocessing.current_process().daemon
-    n_procs = 1 if not spec.is_frailty or daemonic else min(config.n_chains, _usable_cpus())
+    n_procs = 1 if daemonic else min(config.n_chains, _usable_cpus())
     # Forked, not spawned: a worker starts with this process's modules and
     # fit inputs already in memory, so nothing is imported or pickled on the
     # way in.

@@ -1,9 +1,11 @@
 import contextlib
 import itertools
+import math
 import multiprocessing
 import os
 import signal
 import time
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -704,17 +706,21 @@ def test_impute_must_be_a_bool():
 
 
 @pytest.mark.parametrize(
-    "data, impute",
+    "data, impute, block",
     [
-        (_uncensored_dataset(S1, 120, 31), True),
-        (_partially_censored_dataset(S1, 120, 32), False),
-        (_partially_censored_dataset(S1, 120, 32), True),
+        (_uncensored_dataset(S1, 120, 31), True, None),
+        (_partially_censored_dataset(S1, 120, 32), False, None),
+        (_partially_censored_dataset(S1, 120, 32), True, None),
+        (_partially_censored_dataset(S1, 120, 32), False, 2),
     ],
-    ids=["uncensored-imputing", "censored-marginal", "censored-imputing"],
+    ids=["uncensored-imputing", "censored-marginal", "censored-imputing", "two-row-blocks"],
 )
-def test_reused_statistics_give_the_per_sweep_reference_draws(data, impute):
+def test_reused_statistics_give_the_per_sweep_reference_draws(monkeypatch, data, impute, block):
     # impute applies to the frailty families only: the simple chain counts
-    # censored records through their survival term either way.
+    # censored records through their survival term either way.  With blocks
+    # of two rows, thin 3 skips whole blocks and burn-in 5 ends inside one.
+    if block is not None:
+        monkeypatch.setattr(mcmc, "_GAMMA_BLOCK", block)
     spec = ModelSpec(FAMILY_SIMPLE, GRID4)
     h = spec.hyper
     for thin, burn_in in itertools.product((1, 3), (0, 5)):
@@ -746,6 +752,18 @@ def test_reused_statistics_give_the_per_sweep_reference_draws(data, impute):
 def test_sufficient_stats_calls_per_fit(monkeypatch, family, data):
     # The simple chain takes (d, R) once, censored or not, with the default
     # impute=True; a frailty chain once per sweep.
+    calls = _count_sufficient_stats(monkeypatch)
+    cfg = McmcConfig(n_chains=2, burn_in=4, n_iter=6, seed=3)
+    # run_chain per id: run_chains runs a frailty fit's later chains in worker
+    # processes, whose calls this process does not see.
+    for c in range(1, cfg.n_chains + 1):
+        run_chain(ModelSpec(family, GRID4), data, cfg, chain_id=c)
+    sweeps = cfg.burn_in + cfg.n_iter
+    assert len(calls) == cfg.n_chains * (1 if family == FAMILY_SIMPLE else sweeps)
+
+
+def _count_sufficient_stats(monkeypatch):
+    """The calls to ``mcmc.sufficient_stats`` from now on, one entry each."""
     calls = []
     real = mcmc.sufficient_stats
 
@@ -754,13 +772,50 @@ def test_sufficient_stats_calls_per_fit(monkeypatch, family, data):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(mcmc, "sufficient_stats", counting)
-    cfg = McmcConfig(n_chains=2, burn_in=4, n_iter=6, seed=3)
-    # run_chain per id: run_chains runs a frailty fit's later chains in worker
-    # processes, whose calls this process does not see.
-    for c in range(1, cfg.n_chains + 1):
-        run_chain(ModelSpec(family, GRID4), data, cfg, chain_id=c)
-    sweeps = cfg.burn_in + cfg.n_iter
-    assert len(calls) == cfg.n_chains * (1 if family == FAMILY_SIMPLE else sweeps)
+    return calls
+
+
+@pytest.mark.parametrize("n_chains", [1, 2, 4])
+@pytest.mark.parametrize(
+    "data",
+    [_uncensored_dataset(S1, 60, 33), _partially_censored_dataset(S1, 60, 34)],
+    ids=["uncensored", "censored"],
+)
+def test_simple_fit_takes_its_statistics_once_and_times_each_chains_draws(
+    monkeypatch, data, n_chains
+):
+    calls = _count_sufficient_stats(monkeypatch)
+    cfg = McmcConfig(n_chains=n_chains, burn_in=4, n_iter=6, seed=3)
+    stores = run_chains(ModelSpec(FAMILY_SIMPLE, GRID4), data, cfg)
+    assert len(calls) == 1
+    assert [s.meta["chain_id"] for s in stores] == list(range(1, n_chains + 1))
+    for store in stores:
+        wall = store.meta["wall_time_s"]
+        assert type(wall) is float and math.isfinite(wall) and wall >= 0.0
+
+
+@pytest.mark.parametrize("block", [256, None])
+def test_a_long_thinned_simple_chain_holds_a_block_and_its_retained_draws(monkeypatch, block):
+    # 401,000 rows of 4 rates would take 12.8 MB at once; the chain keeps 200.
+    # A block is freed once the next one is drawn, so two are alive at most.
+    # The untraced first run fills the interpreter's and numpy's caches; the
+    # 64 kB of slack covers gamma's buffers for its broadcast parameters.
+    if block is not None:
+        monkeypatch.setattr(mcmc, "_GAMMA_BLOCK", block)
+    spec = ModelSpec(FAMILY_SIMPLE, GRID4)
+    data = _uncensored_dataset(S1, 50, 42)
+    cfg = McmcConfig(n_chains=1, burn_in=1000, n_iter=400_000, thin=2000, seed=6)
+    run_chain(spec, data, cfg)
+    tracemalloc.start()
+    try:
+        store = run_chain(spec, data, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert store.n_draws == 200
+    row = 8 * GRID4.m
+    assert peak < (2 * mcmc._GAMMA_BLOCK + store.n_draws) * row + 65_536
+    assert peak < (cfg.burn_in + cfg.n_iter) * row / 10
 
 
 @pytest.mark.parametrize(
