@@ -66,6 +66,17 @@ def hpd_interval(draws, mass: float = 0.95) -> tuple[float, float]:
     return float(x[i]), float(x[i + k - 1])
 
 
+def _unit_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """``x`` times 2**-e, and e, the binary exponent of its largest magnitude.
+
+    The scaled draws lie within [-1, 1], so no sum or product of them over-
+    or underflows whatever the draws' own scale; the scaling is exact, so a
+    scale-invariant statistic of them is that of ``x``.
+    """
+    e = int(np.frexp(np.max(np.abs(x)))[1])
+    return np.ldexp(x, -e), e
+
+
 def _autocorrelations(x: np.ndarray) -> np.ndarray:
     n = x.size
     x = x - x.mean()
@@ -81,12 +92,13 @@ def effective_sample_size(draws) -> float:
     Lag pairs (rho_{2k} + rho_{2k+1}) are summed while they stay positive.
     A zero-variance sequence has no information content: the ESS is defined
     as 0 and a RuntimeWarning flags the degeneracy.  The estimate is capped
-    at n.
+    at n.  It does not depend on the draws' scale.
     """
     x = np.asarray(draws, dtype=float)
     n = x.size
     if n < 100:
         raise InsufficientDataError(f"need at least 100 draws for an ESS estimate, got {n}")
+    x, _ = _unit_scaled(x)
     if np.ptp(x) == 0.0:
         warnings.warn("zero-variance draws: effective sample size set to 0", RuntimeWarning)
         return 0.0
@@ -112,12 +124,13 @@ def summarize(chains, mass: float = 0.95) -> list[Summary]:
     for name in names:
         pooled = np.concatenate([c.draws[name] for c in chains])
         low, high = hpd_interval(pooled, mass)
+        unit, e = _unit_scaled(pooled)
         out.append(
             Summary(
                 name=name,
                 mean=float(pooled.mean()),
                 median=float(np.median(pooled)),
-                sd=float(pooled.std(ddof=1)),
+                sd=float(np.ldexp(unit.std(ddof=1), e)),
                 hpd_low=low,
                 hpd_high=high,
                 ess=effective_sample_size(chains[0].draws[name]),

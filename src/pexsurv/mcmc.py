@@ -7,8 +7,8 @@ The simple family's rates are independent a posteriori: given the events
 ``d`` and the exposure ``R`` up to each record's observed or censoring time
 (censored records enter through their survival term), lambda_j ~ Gamma(a +
 d_j, b + R_j).  ``run_chains`` computes ``(d, R)`` once per fit and every
-chain takes its exact, independent draws from it, in blocks of
-``_GAMMA_BLOCK`` rows of which only the retained ones are kept.
+chain takes its ``n_iter // thin`` exact, independent draws from it in one
+call: burn-in and thinning would only discard draws as good as those kept.
 
 The frailty families run a Gibbs sweep.  Every block of it is a method of
 one private fit context, built once per chain, which holds the only
@@ -117,9 +117,6 @@ _MAX_STEPS = 50
 # Scalar uniforms for the slice kernel are drawn this many at a time.
 _UNIFORM_BLOCK = 256
 
-# A simple chain draws its rows of conjugate rates this many at a time.
-_GAMMA_BLOCK = 4096
-
 
 class InvariantViolationError(RuntimeError):
     """The sampler was handed a state it cannot recover from."""
@@ -138,7 +135,8 @@ class McmcConfig:
     naming its field.  ``n_iter`` counts post-burn-in iterations; ``n_iter //
     thin`` draws are retained, so ``thin`` may not exceed ``n_iter``; ``seed``
     is non-negative.  The samplers are fixed per family: the simple family's
-    rates are exact, independent conjugate Gamma draws; the frailty families
+    rates are exact, independent conjugate Gamma draws, so ``burn_in`` and
+    ``thin`` set only their count, ``n_iter // thin``; the frailty families
     slice the rates, draw (eta, z) as one collapsed block, then rescale every
     frailty against the rates (z -> c z, lambda -> lambda / c) and move each
     coefficient along its centred covariate; each slice coordinate steps out
@@ -601,9 +599,9 @@ def run_chain(
     """Run one chain; returns retained draws after burn-in and thinning.
 
     A frailty chain starts from ``init`` (by default ``initial_state``), and
-    any update failure aborts it with the iteration index attached.  The
-    simple family's draws are independent of each other and of ``init``, and
-    its ``wall_time_s`` covers the draws, not the ``(d, R)`` they come from.
+    any update failure aborts it with the iteration index attached.  A simple
+    chain's ``n_iter // thin`` draws are independent of each other and of
+    ``init``; its ``wall_time_s`` covers them, not the ``(d, R)`` they use.
     """
     state = init.copy() if init is not None else initial_state(spec, data)
     if not spec.is_frailty:
@@ -625,39 +623,30 @@ def run_chain(
                 row += 1
         except Exception as exc:
             raise ChainAbortError(f"chain {chain_id} aborted at iteration {it}: {exc}") from exc
-    draws = {name: buf[:, i].copy() for i, name in enumerate(ctx.monitor_names)}
     widths = dict(zip(ctx.slice_names, ctx.slice_widths))
-    return _chain_store(spec, config, chain_id, draws, widths, start)
+    return _chain_store(spec, config, chain_id, ctx.monitor_names, buf, widths, start)
 
 
 def _conjugate_chain(spec, config, chain_id, stats) -> ChainStore:
-    """One simple-family chain of exact Gamma(a + d, b + R) rows from ``stats``.
+    """One simple-family chain of exact Gamma(a + d, b + R) draws from ``stats``.
 
     ``stats`` is the fit's marginal-mode ``(d, R)``, which counts censored
-    records through their survival term, so no draw moves them.  Rows come
-    from ``chain_rng(config.seed, chain_id)`` in blocks of ``_GAMMA_BLOCK``,
-    which numpy fills in C order, as one call or a loop of one draw per sweep
-    would; only the retained rows ``burn_in + thin - 1 :: thin`` are kept, and
-    no row after the last of them is drawn.
+    records through their survival term, so no draw moves them.  The
+    ``n_iter // thin`` rows come from one call on ``chain_rng(config.seed,
+    chain_id)``; no burn-in or thinned-out row is drawn.
     """
     gen = chain_rng(config.seed, chain_id)
-    h, m, thin = spec.hyper, spec.grid.m, config.thin
+    h, m = spec.hyper, spec.grid.m
     shape, scale = h.gamma_shape + stats.d, 1.0 / (h.gamma_rate + stats.exposure)
-    kept = config.n_iter // thin
-    first, stop = config.burn_in + thin - 1, config.burn_in + kept * thin
     start = time.perf_counter()
-    buf, row = np.empty((m, kept)), 0  # one row per rate, so each is a contiguous draw
-    for lo in range(0, stop, _GAMMA_BLOCK):
-        rows = gen.gamma(shape, scale, size=(min(_GAMMA_BLOCK, stop - lo), m))
-        retained = rows[max(first - lo, (first - lo) % thin) :: thin]
-        buf[:, row : row + len(retained)] = retained.T
-        row += len(retained)
-    draws = {f"lambda[{j}]": buf[j - 1] for j in range(1, m + 1)}
-    return _chain_store(spec, config, chain_id, draws, {}, start)
+    rows = gen.gamma(shape, scale, size=(config.n_iter // config.thin, m))
+    names = [f"lambda[{j}]" for j in range(1, m + 1)]
+    return _chain_store(spec, config, chain_id, names, rows, {}, start)
 
 
-def _chain_store(spec, config, chain_id, draws, widths, start) -> ChainStore:
-    """A chain's store: its draws, and metadata timed from ``start``."""
+def _chain_store(spec, config, chain_id, names, rows, widths, start) -> ChainStore:
+    """A chain's store: the columns of ``rows`` by ``names``, and metadata timed from ``start``."""
+    draws = dict(zip(names, rows.T.copy()))  # each name's draws contiguous
     meta = {
         "chain_id": chain_id,
         "seed": config.seed,
@@ -681,8 +670,9 @@ def run_chains(
 
     The simple family's chains run one after another in the calling process,
     all from one marginal-mode ``(d, R)``, computed once per fit; each
-    chain's draws are those ``run_chain`` gives for its id, and its
-    ``wall_time_s`` covers its own draws only, not the shared ``(d, R)``.
+    chain's ``n_iter // thin`` draws are those ``run_chain`` gives for its id,
+    whatever ``burn_in`` is, and its ``wall_time_s`` covers its own draws
+    only, not the shared ``(d, R)``.
 
     A frailty fit's chains run in ``n_procs`` processes: one for a daemonic
     calling process, else ``min(n_chains, usable CPUs)``, where a platform

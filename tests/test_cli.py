@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -196,7 +197,8 @@ def test_fit_negative_seed_is_validation_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flag, value", [("--seed", "-1"), ("--iters", "50"), ("--grid", "0,2,1")]
+    "flag, value",
+    [("--seed", "-1"), ("--iters", "50"), ("--grid", "0,2,1"), ("--data", "no-such-dir/data.csv")],
 )
 def test_rejected_fit_creates_no_out_directory(tmp_path, flag, value):
     args = {"--seed": "1", "--iters": "100", "--grid": "equal", flag: value}
@@ -221,6 +223,30 @@ def test_fit_out_of_range_layout_names_its_field(tmp_path, capsys, flag, value, 
                "--out", str(tmp_path / "x"), *[v for item in args.items() for v in item]])
     assert rc == 2
     assert message in capsys.readouterr().err
+
+
+def test_fit_unreadable_data_path_is_validation_error(tmp_path, capsys):
+    for path in (tmp_path / "missing.csv", tmp_path):
+        rc = main(["fit", "--model", "simple", "--data", str(path), "--seed", "1",
+                   "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert f"cannot read dataset {path}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_fit_with_a_huge_censoring_time_gives_finite_sd_and_ess(tmp_path):
+    # exposures near 1e300 put the rates near 1e-300, whose squares underflow
+    path = tmp_path / "huge.csv"
+    path.write_text("subject,replicate,time,status\n1,1,1e300,0\n2,1,1.0,1\n")
+    out = tmp_path / "run"
+    assert main(["fit", "--model", "simple", "--data", str(path), "--seed", "1",
+                 "--out", str(out)]) == 0
+    with open(out / "summary.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 10
+    for row in rows:
+        sd, ess = float(row["sd"]), float(row["ess"])
+        assert 0.0 < sd < math.inf and 0.0 < ess <= 2000.0, row
 
 
 def test_fit_dataset_without_records_is_validation_error(tmp_path, capsys):

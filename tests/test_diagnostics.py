@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,20 @@ def test_ess_scale_and_shift_invariant():
     base = effective_sample_size(x)
     assert effective_sample_size(4.0 * x) == pytest.approx(base, rel=1e-12)
     assert effective_sample_size(-2.5 * x + 17.0) == pytest.approx(base, rel=1e-9)
+
+
+@pytest.mark.parametrize("e", [-600, 600])
+def test_ess_and_sd_are_exact_at_extreme_power_of_two_scales(e):
+    # at 2^-600 every square underflows and at 2^600 it overflows; both
+    # statistics are computed on draws scaled by an exact power of two
+    rng = np.random.default_rng(47)
+    x = np.cumsum(rng.standard_normal(1_000)) + 3.0
+    y = rng.standard_normal(1_000)
+    assert effective_sample_size(np.ldexp(x, e)) == effective_sample_size(x)
+    (unit,) = summarize([_store(a=x), _store(a=y)])
+    (scaled,) = summarize([_store(a=np.ldexp(x, e)), _store(a=np.ldexp(y, e))])
+    assert scaled.sd == math.ldexp(unit.sd, e)
+    assert scaled.ess == unit.ess
 
 
 def test_ess_never_exceeds_draw_count():

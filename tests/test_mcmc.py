@@ -706,38 +706,48 @@ def test_impute_must_be_a_bool():
 
 
 @pytest.mark.parametrize(
-    "data, impute, block",
+    "data, impute",
     [
-        (_uncensored_dataset(S1, 120, 31), True, None),
-        (_partially_censored_dataset(S1, 120, 32), False, None),
-        (_partially_censored_dataset(S1, 120, 32), True, None),
-        (_partially_censored_dataset(S1, 120, 32), False, 2),
+        (_uncensored_dataset(S1, 120, 31), True),
+        (_partially_censored_dataset(S1, 120, 32), False),
+        (_partially_censored_dataset(S1, 120, 32), True),
     ],
-    ids=["uncensored-imputing", "censored-marginal", "censored-imputing", "two-row-blocks"],
+    ids=["uncensored-imputing", "censored-marginal", "censored-imputing"],
 )
-def test_reused_statistics_give_the_per_sweep_reference_draws(monkeypatch, data, impute, block):
+def test_reused_statistics_give_the_per_sweep_reference_draws(data, impute):
     # impute applies to the frailty families only: the simple chain counts
-    # censored records through their survival term either way.  With blocks
-    # of two rows, thin 3 skips whole blocks and burn-in 5 ends inside one.
-    if block is not None:
-        monkeypatch.setattr(mcmc, "_GAMMA_BLOCK", block)
+    # censored records through their survival term either way.
     spec = ModelSpec(FAMILY_SIMPLE, GRID4)
     h = spec.hyper
     for thin, burn_in in itertools.product((1, 3), (0, 5)):
         cfg = McmcConfig(n_chains=1, burn_in=burn_in, n_iter=30, thin=thin, seed=19, impute=impute)
         store = run_chain(spec, data, cfg)
 
-        # reference loop: one Gamma draw per sweep, (d, R) recomputed each time
+        # reference loop: one Gamma draw per retained draw, (d, R) recomputed each time
         rng = chain_rng(19, 1)
         state = initial_state(spec, data)
         ref = []
-        for it in range(burn_in + cfg.n_iter):
+        for _ in range(cfg.n_iter // thin):
             st = sufficient_stats(state, spec, data, augmented=False)
             state.rates = rng.gamma(h.gamma_shape + st.d, 1.0 / (h.gamma_rate + st.exposure))
-            if it >= burn_in and (it - burn_in + 1) % thin == 0:
-                ref.append(state.rates)
+            ref.append(state.rates)
         got = np.column_stack([store.draws[f"lambda[{j}]"] for j in range(1, GRID4.m + 1)])
         assert np.array_equal(got, np.array(ref)), (thin, burn_in)
+
+
+def test_simple_draws_depend_on_burn_in_and_thin_only_through_their_count():
+    # Burn-in and thinning draw nothing: at 40 retained draws the chain is the
+    # same for every (burn_in, thin).
+    spec = ModelSpec(FAMILY_SIMPLE, GRID4)
+    data = _partially_censored_dataset(S1, 80, 37)
+    stores = [
+        run_chain(spec, data, McmcConfig(n_chains=1, burn_in=b, n_iter=40 * t, thin=t, seed=8))
+        for b, t in ((0, 1), (5, 3), (1000, 7))
+    ]
+    for store in stores:
+        assert store.n_draws == 40
+        for name in store.names:
+            assert np.array_equal(store.draws[name], stores[0].draws[name]), name
 
 
 @pytest.mark.parametrize(
@@ -794,14 +804,11 @@ def test_simple_fit_takes_its_statistics_once_and_times_each_chains_draws(
         assert type(wall) is float and math.isfinite(wall) and wall >= 0.0
 
 
-@pytest.mark.parametrize("block", [256, None])
-def test_a_long_thinned_simple_chain_holds_a_block_and_its_retained_draws(monkeypatch, block):
-    # 401,000 rows of 4 rates would take 12.8 MB at once; the chain keeps 200.
-    # A block is freed once the next one is drawn, so two are alive at most.
+def test_a_long_thinned_simple_chain_holds_a_block_and_its_retained_draws():
+    # 401,000 rows of 4 rates would take 12.8 MB at once; the chain draws and
+    # keeps 200, and its store copies them once, one contiguous array per rate.
     # The untraced first run fills the interpreter's and numpy's caches; the
     # 64 kB of slack covers gamma's buffers for its broadcast parameters.
-    if block is not None:
-        monkeypatch.setattr(mcmc, "_GAMMA_BLOCK", block)
     spec = ModelSpec(FAMILY_SIMPLE, GRID4)
     data = _uncensored_dataset(S1, 50, 42)
     cfg = McmcConfig(n_chains=1, burn_in=1000, n_iter=400_000, thin=2000, seed=6)
@@ -814,7 +821,7 @@ def test_a_long_thinned_simple_chain_holds_a_block_and_its_retained_draws(monkey
         tracemalloc.stop()
     assert store.n_draws == 200
     row = 8 * GRID4.m
-    assert peak < (2 * mcmc._GAMMA_BLOCK + store.n_draws) * row + 65_536
+    assert peak < 2 * store.n_draws * row + 65_536
     assert peak < (cfg.burn_in + cfg.n_iter) * row / 10
 
 
