@@ -135,17 +135,11 @@ def _resolve_grid(args, data) -> TimeGrid:
     return TimeGrid(tuple(_comma_floats(args.grid)))
 
 
-def _read_data(name) -> SurvivalDataset:
-    if name == "kidney":
-        return load_kidney()
-    try:
-        return read_dataset_csv(name)
-    except OSError as exc:  # missing, a directory, unreadable
-        raise CliError(f"cannot read dataset {name}: {exc.strerror or exc}") from None
-
-
 def _cmd_fit(args) -> int:
-    data = _read_data(args.data)
+    try:
+        data = load_kidney() if args.data == "kidney" else read_dataset_csv(args.data)
+    except OSError as exc:  # missing, a directory, unreadable
+        raise CliError(f"cannot read dataset {args.data}: {exc.strerror or exc}") from None
     if not data.n_records:
         raise CliError(f"dataset {args.data} has no records")
     grid = _resolve_grid(args, data)

@@ -69,9 +69,8 @@ def hpd_interval(draws, mass: float = 0.95) -> tuple[float, float]:
 def _unit_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
     """``x`` times 2**-e, and e, the binary exponent of its largest magnitude.
 
-    The scaled draws lie within [-1, 1], so no sum or product of them over-
-    or underflows whatever the draws' own scale; the scaling is exact, so a
-    scale-invariant statistic of them is that of ``x``.
+    Exact; its largest magnitude lies in [0.5, 1), so its sum of squares can
+    neither overflow nor underflow to zero.
     """
     e = int(np.frexp(np.max(np.abs(x)))[1])
     return np.ldexp(x, -e), e
