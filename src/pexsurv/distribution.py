@@ -139,7 +139,7 @@ def validate_params(cut_points, rates) -> list[Violation]:
 def _prep_times(t):
     """Coerce to float array, reject values outside the open support (0, inf)."""
     arr = np.asarray(t, dtype=float)
-    if arr.size and (np.any(~(arr > 0.0)) or np.any(np.isinf(arr))):
+    if arr.size and not (arr.min() > 0.0 and arr.max() < np.inf):  # NaN fails both
         raise ValueError("time points must lie in the open support (0, +inf)")
     return arr, arr.ndim == 0
 
@@ -222,14 +222,17 @@ class TimeGrid:
     def exposures(self, times) -> np.ndarray:
         """Overlap length of (0, t] with each interval, shape (len(times), m).
 
-        Row sums reconstruct the times themselves, which is what makes these
-        overlaps the exposure component of the sufficient statistics.
+        The result is the transposed view of one interval-major
+        ``(m, len(times))`` array, so ``.T`` holds each interval's overlaps
+        contiguously.  Row sums reconstruct the times themselves, which is
+        what makes these overlaps the exposure component of the sufficient
+        statistics.  Times outside the open support raise ``ValueError``.
         """
-        t = np.asarray(times, dtype=float)[:, None]
-        # one (len(times), m) array, clipped in place
-        out = np.minimum(t, self._uppers)
-        out -= self._cuts
-        return np.maximum(out, 0.0, out=out)
+        t, _ = _prep_times(times)
+        # one (m, len(times)) array, clipped in place
+        out = np.minimum(t, self._uppers[:, None])
+        out -= self._cuts[:, None]
+        return np.maximum(out, 0.0, out=out).T
 
 
 class PiecewiseExponential:

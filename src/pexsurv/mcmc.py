@@ -603,10 +603,10 @@ def run_chain(
     chain's ``n_iter // thin`` draws are independent of each other and of
     ``init``; its ``wall_time_s`` covers them, not the ``(d, R)`` they use.
     """
-    state = init.copy() if init is not None else initial_state(spec, data)
     if not spec.is_frailty:
-        stats = sufficient_stats(state, spec, data, augmented=False)
+        stats = sufficient_stats(None, spec, data, augmented=False)
         return _conjugate_chain(spec, config, chain_id, stats)
+    state = init.copy() if init is not None else initial_state(spec, data)
     rng = _ChainSource(chain_rng(config.seed, chain_id))
     kept = config.n_iter // config.thin
     start = time.perf_counter()
@@ -688,7 +688,7 @@ def run_chains(
     """
     chain_ids = range(1, config.n_chains + 1)
     if not spec.is_frailty:
-        stats = sufficient_stats(initial_state(spec, data), spec, data, augmented=False)
+        stats = sufficient_stats(None, spec, data, augmented=False)
         return [_conjugate_chain(spec, config, c, stats) for c in chain_ids]
     daemonic = multiprocessing.current_process().daemon
     n_procs = 1 if daemonic else min(config.n_chains, _usable_cpus())

@@ -182,24 +182,26 @@ def _working_times(state, data, augmented):
 
 
 def sufficient_stats(
-    state: ParamState, spec: ModelSpec, data: SurvivalDataset, augmented: bool = True
+    state: ParamState | None, spec: ModelSpec, data: SurvivalDataset, augmented: bool = True
 ) -> SufficientStats:
     """Counts and weighted exposures under which the rates factorize.
 
     In augmented mode every record's working time counts as an event; in
     marginal mode only true events count while censored records still
-    accumulate exposure up to their censoring time.
+    accumulate exposure up to their censoring time.  Each record's interval
+    comes from its exposures: it is the last interval the record is exposed
+    in.  The simple family's marginal mode reads nothing of ``state``, which
+    may then be None.
     """
-    m = spec.grid.m
-    times = _working_times(state, data, augmented)
-    w = record_weights(state, spec, data)
-    exposure = spec.grid.exposures(times).T @ w
-    j = spec.grid.interval_index(times) - 1
-    if augmented:
-        d = np.bincount(j, minlength=m)
-    else:
-        d = np.bincount(j[data.event_flags], minlength=m)
-    return SufficientStats(d=d.astype(float), exposure=exposure)
+    overlap = spec.grid.exposures(_working_times(state, data, augmented)).T  # (m, n)
+    exposed = overlap > 0.0
+    if not augmented:
+        exposed &= data.event_flags
+    # records whose last interval is I_j: those exposed in I_j less those in I_{j+1}
+    counts = np.count_nonzero(exposed, axis=1)
+    d = counts.astype(float)
+    d[:-1] -= counts[1:]
+    return SufficientStats(d=d, exposure=overlap @ record_weights(state, spec, data))
 
 
 def _check_positive_state(state, spec):

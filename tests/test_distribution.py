@@ -100,8 +100,14 @@ def test_exposures_equal_the_three_temporary_reference():
     for times in (below_on_past, rng.uniform(0.0, 8.0, 1000), np.array(GRID[1:]), []):
         got, want = grid.exposures(times), reference(times)
         assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.flags.c_contiguous
+        assert got.T.flags.c_contiguous  # a view of one interval-major (m, n) array
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.0, -1.0, np.inf, np.nan])
+def test_exposures_reject_times_outside_the_support(bad):
+    with pytest.raises(ValueError, match=r"^time points must lie in the open support"):
+        TimeGrid(GRID).exposures([0.5, bad, 4.2])
 
 
 # -- hazard and cumulative hazard --------------------------------------------

@@ -847,6 +847,28 @@ def test_sweeps_build_no_distribution_object(monkeypatch, family):
     assert len(built) <= cfg.n_chains
 
 
+def test_a_censored_simple_fit_builds_no_starting_state(monkeypatch):
+    # The simple family's (d, R) reads the data, not a state, so neither entry
+    # point builds initial_state's PiecewiseExponential; the draws stay
+    # independent of init.
+    spec = ModelSpec(FAMILY_SIMPLE, GRID4)
+    data = _partially_censored_dataset(S1, 60, 38)
+    assert not data.event_flags.all()
+    cfg = McmcConfig(n_chains=2, burn_in=4, n_iter=6, seed=3)
+    init = initial_state(spec, data)
+    init.rates, init.times = init.rates * 7.0, init.times * 1.5
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a simple fit built a PiecewiseExponential")
+
+    monkeypatch.setattr(PiecewiseExponential, "__init__", refuse)
+    fit = run_chains(spec, data, cfg)
+    for c in (1, 2):
+        for store in (run_chain(spec, data, cfg, chain_id=c), run_chain(spec, data, cfg, c, init)):
+            for name in store.names:
+                assert np.array_equal(store.draws[name], fit[c - 1].draws[name]), (c, name)
+
+
 def test_random_and_uniform_draw_the_same_doubles():
     # The slice kernel's uniform blocks and imputation come from
     # Generator.random, which returns the doubles Generator.uniform(0, 1)

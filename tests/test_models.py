@@ -113,6 +113,60 @@ def test_augmented_counts_include_imputed(kidney, kidney_spec):
     assert st.d.sum() == kidney.n_records
 
 
+def _reference_stats(state, spec, data, augmented):
+    """(d, R) the record-major way: dense exposures, ``.T @ w``, searchsorted counts."""
+    times = state.times if augmented else data.marginal_times
+    cuts = np.array(spec.grid.cut_points)
+    uppers = np.append(cuts[1:], np.inf)
+    dense = np.clip(np.minimum(times[:, None], uppers) - cuts, 0.0, None)
+    assert dense.flags.c_contiguous
+    j = spec.grid.interval_index(times) - 1
+    counted = np.ones(data.n_records, dtype=bool) if augmented else data.event_flags
+    d = np.bincount(j[counted], minlength=spec.grid.m).astype(float)
+    return d, dense.T @ record_weights(state, spec, data)
+
+
+# below, on and past the cut points of GRID4, and one far past them
+_EDGE_TIMES = (0.5, 1.999, 2.0, 2.0001, 3.0, 4.2, 5.0, 5.5, 1e6, 1e300)
+
+
+@pytest.mark.parametrize("augmented", [True, False], ids=["augmented", "marginal"])
+@pytest.mark.parametrize("n", [0, 1, 30], ids=["empty", "one", "edges"])
+def test_sufficient_stats_equal_the_record_major_reference(augmented, n):
+    rng = np.random.default_rng(n)
+    times = np.resize(_EDGE_TIMES, n)
+    records = [
+        SurvivalRecord(i + 1, 1, t, 1, covariates=(float(i % 3),))
+        if i % 4
+        else SurvivalRecord(i + 1, 1, None, 0, t, covariates=(float(i % 3),))
+        for i, t in enumerate(times)
+    ]
+    data = SurvivalDataset(records, covariate_names=("x",))
+    spec = ModelSpec(FAMILY_GAMMA_CHAIN, GRID4)
+    state = initial_state(spec, data)
+    state.beta = np.array([0.7])
+    state.z = rng.gamma(2.0, 0.5, state.z.size)
+    # imputed times land on, below and past the cuts too, some in a later interval
+    state.times = np.where(data.event_flags, state.times, np.resize(_EDGE_TIMES[::-1], n))
+    assert n == 0 or not np.all(record_weights(state, spec, data) == 1.0)
+
+    got = sufficient_stats(state, spec, data, augmented=augmented)
+    want_d, want_r = _reference_stats(state, spec, data, augmented)
+    assert np.array_equal(got.d, want_d) and got.d.dtype == want_d.dtype
+    np.testing.assert_allclose(got.exposure, want_r, rtol=1e-12, atol=0.0)
+    assert got.exposure.shape == (GRID4.m,)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.5, np.inf, np.nan])
+def test_sufficient_stats_reject_working_times_outside_the_support(bad):
+    data = SurvivalDataset([_event(1, 1.5), _censored(2, 2.5), _event(3, 4.0)])
+    spec = ModelSpec(FAMILY_SIMPLE, GRID4)
+    state = initial_state(spec, data)
+    state.times[1] = bad
+    with pytest.raises(ValueError, match=r"^time points must lie in the open support \(0, \+inf\)$"):
+        sufficient_stats(state, spec, data, augmented=True)
+
+
 # -- likelihood -----------------------------------------------------------------
 
 
