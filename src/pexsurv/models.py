@@ -189,9 +189,8 @@ def sufficient_stats(
     In augmented mode every record's working time counts as an event; in
     marginal mode only true events count while censored records still
     accumulate exposure up to their censoring time.  Each record's interval
-    comes from its exposures: it is the last interval the record is exposed
-    in.  The simple family's marginal mode reads nothing of ``state``, which
-    may then be None.
+    comes from its exposures, as the last one it is exposed in.  The simple
+    family's marginal mode reads nothing of ``state``, which may be None.
     """
     overlap = spec.grid.exposures(_working_times(state, data, augmented)).T  # (m, n)
     exposed = overlap > 0.0

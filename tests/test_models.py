@@ -146,7 +146,7 @@ def test_sufficient_stats_equal_the_record_major_reference(augmented, n):
     state = initial_state(spec, data)
     state.beta = np.array([0.7])
     state.z = rng.gamma(2.0, 0.5, state.z.size)
-    # imputed times land on, below and past the cuts too, some in a later interval
+    # the censored records' working times: the same edge times in reverse order
     state.times = np.where(data.event_flags, state.times, np.resize(_EDGE_TIMES[::-1], n))
     assert n == 0 or not np.all(record_weights(state, spec, data) == 1.0)
 
