@@ -21,10 +21,12 @@ timings live only in the manifest and metadata sidecars.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import sys
 import time
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +57,8 @@ SCENARIOS = {
     "s3": (1.3, 0.8, 0.6, 0.3),
 }
 _SCENARIO_GRID = (0.0, 2.0, 3.0, 5.0)
+_RESULT_COLUMNS = ("rep", "scenario", "n", "parameter", "true", "mean", "median", "sd",
+                   "hpd_low", "hpd_high", "ess", "covered")
 
 
 class CliError(Exception):
@@ -161,10 +165,11 @@ def _cmd_fit(args) -> int:
     sampling_s = time.perf_counter() - start
 
     summaries = summarize(chains, mass=0.95)
-    table, text = out_dir / "summary.csv", out_dir / "summary.txt"
-    write_summary_csv(summaries, table)
-    text.write_text(format_summary_table(summaries))
-    written = [table, text]
+    table = format_summary_table(summaries)
+    summary_csv, summary_txt = out_dir / "summary.csv", out_dir / "summary.txt"
+    write_summary_csv(summaries, summary_csv)
+    summary_txt.write_text(table)
+    written = [summary_csv, summary_txt]
     for store in chains:
         cid = store.meta["chain_id"]
         draws, meta = out_dir / f"chain_{cid}.csv", out_dir / f"chain_{cid}_meta.json"
@@ -188,7 +193,7 @@ def _cmd_fit(args) -> int:
         {"sampling": sampling_s},
         written,
     )
-    sys.stdout.write(format_summary_table(summaries))
+    sys.stdout.write(table)
     print(f"wrote {out_dir}/summary.csv and {len(chains)} chain file(s)")
     return 0
 
@@ -226,37 +231,14 @@ def _cmd_simulate(args) -> int:
         chains = run_chains(spec, data, config)
         timings[f"rep_{rep}"] = time.perf_counter() - start
         for s, truth in zip(summarize(chains, mass=0.95), true_rates):
-            rows.append(
-                {
-                    "rep": rep,
-                    "scenario": args.scenario,
-                    "n": args.n,
-                    "parameter": s.name,
-                    "true": truth,
-                    "mean": s.mean,
-                    "median": s.median,
-                    "sd": s.sd,
-                    "hpd_low": s.hpd_low,
-                    "hpd_high": s.hpd_high,
-                    "ess": s.ess,
-                    "covered": int(s.hpd_low <= truth <= s.hpd_high),
-                }
-            )
-    rows.sort(key=lambda r: (r["rep"], r["parameter"]))
-    header = [
-        "rep", "scenario", "n", "parameter", "true", "mean", "median", "sd",
-        "hpd_low", "hpd_high", "ess", "covered",
-    ]
+            name, *stats = astuple(s)
+            covered = int(s.hpd_low <= truth <= s.hpd_high)
+            rows.append([rep, args.scenario, args.n, name, truth, *stats, covered])
     results = out_dir / "results.csv"
     with open(results, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for r in rows:
-            fh.write(
-                ",".join(
-                    repr(r[k]) if isinstance(r[k], float) else str(r[k]) for k in header
-                )
-                + "\n"
-            )
+        writer = csv.writer(fh, lineterminator="\n")  # csv writes a float as its repr
+        writer.writerow(_RESULT_COLUMNS)
+        writer.writerows(rows)
     _write_manifest(
         out_dir,
         "simulate",

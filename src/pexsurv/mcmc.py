@@ -193,14 +193,16 @@ class ChainStore:
         return 0 if not self.draws else len(next(iter(self.draws.values())))
 
     def to_csv(self, path) -> None:
-        """One column per monitored scalar, one row per retained iteration."""
-        names = list(self.draws)
-        cols = [self.draws[n] for n in names]
+        """One column per monitored scalar and one row per retained draw, each value
+        a float in Python's shortest round-trip ``repr``, each line ended by CRLF."""
+        lengths = {name: len(col) for name, col in self.draws.items()}
+        if len(set(lengths.values())) > 1:
+            raise ValueError(f"chain columns differ in length: {lengths}")
+        rows = np.array(list(self.draws.values()), dtype=float).T
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(names)
-            for i in range(self.n_draws):
-                writer.writerow([repr(float(c[i])) for c in cols])
+            csv.writer(fh).writerow(self.names)
+            for row in rows:  # row by row, so no Python copy of the whole table
+                fh.write(",".join(map(repr, row.tolist())) + "\r\n")
 
     def write_metadata(self, path, extra: dict | None = None) -> None:
         payload = dict(self.meta)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from pexsurv.cli import main
+from pexsurv.cli import SCENARIOS, main
 from pexsurv.data import load_kidney, read_dataset_csv, write_dataset_csv
 
 S1_ARGS = ["--grid", "0,2,3,5", "--rates", "0.3,0.6,0.8,1.3"]
@@ -101,6 +101,9 @@ def test_fit_writes_all_outputs(tmp_path, capsys):
         "summary.csv", "summary.txt", "chain_1.csv", "chain_2.csv",
     }
     assert set(manifest["metadata_files"]) == {"chain_1_meta.json", "chain_2_meta.json"}
+    # summary.txt is the table printed on stdout
+    table = (out / "summary.txt").read_text()
+    assert capsys.readouterr().out == table + f"wrote {out}/summary.csv and 2 chain file(s)\n"
     meta = json.loads((out / "chain_1_meta.json").read_text())
     assert meta["manifest"] == "manifest.json"
     assert "wall_time_s" in meta
@@ -269,9 +272,19 @@ def test_simulate_deterministic_and_well_formed(tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert (a / "results.csv").read_bytes() == (b / "results.csv").read_bytes()
-    rows = (a / "results.csv").read_text().strip().splitlines()
-    assert rows[0].startswith("rep,scenario,n,parameter,true,")
-    assert len(rows) == 1 + 2 * 4  # two replications, four rates each
+    raw = (a / "results.csv").read_bytes()
+    assert b"\r" not in raw and raw.endswith(b"\n")  # LF line endings
+    header, *rows = raw.decode().splitlines()
+    assert header == "rep,scenario,n,parameter,true,mean,median,sd,hpd_low,hpd_high,ess,covered"
+    assert len(rows) == 2 * 4  # two replications, four rates each
+    for i, line in enumerate(rows):
+        rep, scenario, n, parameter, true, *stats, covered = line.split(",")
+        # rows by replication, then in the monitor order lambda[1..4]
+        assert (rep, scenario, n) == (str(1 + i // 4), "s1", "60")
+        assert parameter == f"lambda[{1 + i % 4}]"
+        assert true == repr(SCENARIOS["s1"][i % 4])
+        assert all(v == repr(float(v)) for v in stats)  # shortest round-trip repr
+        assert covered in {"0", "1"}
     manifest = json.loads((a / "manifest.json").read_text())
     assert set(manifest["timings_s"]) == {"rep_1", "rep_2"}
 

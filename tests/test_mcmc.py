@@ -3,6 +3,7 @@ import itertools
 import math
 import multiprocessing
 import os
+import re
 import signal
 import time
 import tracemalloc
@@ -19,6 +20,7 @@ from pexsurv.distribution import PiecewiseExponential, TimeGrid
 from pexsurv.diagnostics import effective_sample_size
 from pexsurv.mcmc import (
     ChainAbortError,
+    ChainStore,
     InvariantViolationError,
     McmcConfig,
     chain_rng,
@@ -918,6 +920,48 @@ def test_chain_abort_carries_iteration_index():
     bad.rates = np.array([1.0, 1.0, 1.0, 0.0])  # zero-rate tail: imputation cannot proceed
     with pytest.raises(ChainAbortError, match="iteration 0"):
         run_chain(spec, data, cfg, init=bad)
+
+
+# -- chain CSV ------------------------------------------------------------------------
+
+
+def test_chain_csv_bytes_are_pinned(tmp_path):
+    # a name holding a comma is quoted; an integer column is written as floats
+    store = ChainStore({
+        "beta_a,b": np.array([0.1, -0.0, 1e-300]),
+        "count": np.array([1, 2, 3]),
+        "x": np.array([np.nan, np.inf, -np.inf]),
+    })
+    path = tmp_path / "chain.csv"
+    store.to_csv(path)
+    assert path.read_bytes() == (
+        b'"beta_a,b",count,x\r\n0.1,1.0,nan\r\n-0.0,2.0,inf\r\n1e-300,3.0,-inf\r\n'
+    )
+
+
+def test_chain_csv_holds_one_row_at_a_time_beside_its_table(tmp_path):
+    # the float table is one (n_draws, k) copy of 336 kB; a Python list of all
+    # its floats would take ~1.5 MB more
+    store = ChainStore({f"c{j}": np.random.default_rng(j).random(3000) for j in range(14)})
+    store.to_csv(tmp_path / "warm.csv")
+    tracemalloc.start()
+    try:
+        store.to_csv(tmp_path / "chain.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 3000 * 14 * 8 + 65_536
+
+
+@pytest.mark.parametrize("lengths", [(2, 3), (3, 2)], ids=["first-short", "later-short"])
+def test_a_ragged_chain_store_is_rejected_before_writing(tmp_path, lengths):
+    # a short first column wrote that many rows; a short later one raised IndexError
+    store = ChainStore({"a": np.zeros(lengths[0]), "b": np.zeros(lengths[1])})
+    path = tmp_path / "chain.csv"
+    message = f"chain columns differ in length: {{'a': {lengths[0]}, 'b': {lengths[1]}}}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        store.to_csv(path)
+    assert not path.exists()
 
 
 # -- chains in worker processes ------------------------------------------------------
