@@ -165,11 +165,11 @@ def _cmd_fit(args) -> int:
     sampling_s = time.perf_counter() - start
 
     summaries = summarize(chains, mass=0.95)
-    table = format_summary_table(summaries)
-    summary_csv, summary_txt = out_dir / "summary.csv", out_dir / "summary.txt"
-    write_summary_csv(summaries, summary_csv)
-    summary_txt.write_text(table)
-    written = [summary_csv, summary_txt]
+    summary_text = format_summary_table(summaries)
+    table, text = out_dir / "summary.csv", out_dir / "summary.txt"
+    write_summary_csv(summaries, table)
+    text.write_text(summary_text)
+    written = [table, text]
     for store in chains:
         cid = store.meta["chain_id"]
         draws, meta = out_dir / f"chain_{cid}.csv", out_dir / f"chain_{cid}_meta.json"
@@ -193,7 +193,7 @@ def _cmd_fit(args) -> int:
         {"sampling": sampling_s},
         written,
     )
-    sys.stdout.write(table)
+    sys.stdout.write(summary_text)
     print(f"wrote {out_dir}/summary.csv and {len(chains)} chain file(s)")
     return 0
 
