@@ -47,14 +47,22 @@ class Summary:
     ess: float
 
 
+def _finite(draws) -> np.ndarray:
+    """``draws`` as a float array; a NaN or infinite draw is a ``ValueError``."""
+    x = np.asarray(draws, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError("draws must be finite")
+    return x
+
+
 def hpd_interval(draws, mass: float = 0.95) -> tuple[float, float]:
     """Shortest contiguous interval holding at least ``mass`` of the draws.
 
     Among all windows of ceil(mass * n) consecutive sorted draws the
     narrowest wins; ties resolve to the lowest window so the result is
-    deterministic.
+    deterministic.  A NaN or infinite draw raises ``ValueError``.
     """
-    x = np.sort(np.asarray(draws, dtype=float))
+    x = np.sort(_finite(draws))
     n = x.size
     if n < 10:
         raise InsufficientDataError(f"need at least 10 draws for an HPD interval, got {n}")
@@ -91,9 +99,10 @@ def effective_sample_size(draws) -> float:
     Lag pairs (rho_{2k} + rho_{2k+1}) are summed while they stay positive.
     A zero-variance sequence has no information content: the ESS is defined
     as 0 and a RuntimeWarning flags the degeneracy.  The estimate is capped
-    at n.  It does not depend on the draws' scale.
+    at n.  It does not depend on the draws' scale.  A NaN or infinite draw
+    raises ``ValueError``.
     """
-    x = np.asarray(draws, dtype=float)
+    x = _finite(draws)
     n = x.size
     if n < 100:
         raise InsufficientDataError(f"need at least 100 draws for an ESS estimate, got {n}")

@@ -118,7 +118,8 @@ def validate_params(cut_points, rates) -> list[Violation]:
             out.append(
                 Violation("origin", 0, f"first cut point must be exactly 0, got {cuts[0]:g}")
             )
-        nondec = np.flatnonzero(~(np.diff(cuts) > 0))
+        # compared, not subtracted: inf - inf would warn
+        nondec = np.flatnonzero(~(cuts[1:] > cuts[:-1]))
         if nondec.size:
             i = int(nondec[0]) + 1
             out.append(
@@ -239,28 +240,24 @@ class PiecewiseExponential:
     """PE(rates, grid) distribution with cached cumulative-hazard ladder.
 
     Parameters are validated once; prefix sums of ``rates * widths`` are
-    cached so every evaluation is O(log m).  Instances are immutable.
+    cached so every evaluation is O(log m).  Each public method checks its
+    own argument once and evaluates through the ladder functions, never
+    through another checking method.  Instances are immutable.
     """
 
     def __init__(self, grid, rates):
-        if isinstance(grid, TimeGrid):
-            pts: tuple[float, ...] = grid.cut_points
-            self.grid = grid
-        else:
-            pts = tuple(float(c) for c in np.asarray(grid, dtype=float))
-            self.grid = None  # set after joint validation below
+        is_grid = isinstance(grid, TimeGrid)
+        pts = grid.cut_points if is_grid else np.asarray(grid, dtype=float)
+        # one report lists the grid's violations and the rates' together
         violations = validate_params(pts, rates)
         if violations:
             raise InvalidParamsError(violations)
-        if self.grid is None:
-            self.grid = TimeGrid(pts)
-
+        self.grid = grid if is_grid else TimeGrid(pts)
         self.cuts = self.grid._cuts
         self.rates = np.array(rates, dtype=float)
         self.rates.flags.writeable = False
         self._cum = hazard_ladder(np.diff(self.cuts), self.rates)
         self._cum.flags.writeable = False
-        self._h_sup = np.inf if self.rates[-1] > 0 else float(self._cum[-1])
 
     @property
     def m(self) -> int:
@@ -282,33 +279,30 @@ class PiecewiseExponential:
 
     def cum_hazard(self, t):
         arr, scalar = _prep_times(t)
-        out = self._cum_hazard_raw(arr)
+        out = cum_hazard_at(self.cuts, self._cum, self.rates, arr)
         return float(out) if scalar else out
 
     def survival(self, t):
         arr, scalar = _prep_times(t)
-        out = np.exp(-self._cum_hazard_raw(arr))
+        out = np.exp(-cum_hazard_at(self.cuts, self._cum, self.rates, arr))
         return float(out) if scalar else out
 
     def cdf(self, t):
         arr, scalar = _prep_times(t)
-        out = -np.expm1(-self._cum_hazard_raw(arr))
+        out = -np.expm1(-cum_hazard_at(self.cuts, self._cum, self.rates, arr))
         return float(out) if scalar else out
 
     def log_density(self, t):
         """Log density; -inf on intervals with zero rate (density truly zero)."""
         arr, scalar = _prep_times(t)
-        j = self._segment(arr)
+        cum_hazard = cum_hazard_at(self.cuts, self._cum, self.rates, arr)
         with np.errstate(divide="ignore"):
-            out = np.log(self.rates[j]) - (self._cum[j] + self.rates[j] * (arr - self.cuts[j]))
+            out = np.log(self.rates[self._segment(arr)]) - cum_hazard
         return float(out) if scalar else out
 
     def density(self, t):
         out = np.exp(self.log_density(t))
         return float(out) if np.ndim(t) == 0 else out
-
-    def _cum_hazard_raw(self, arr):
-        return cum_hazard_at(self.cuts, self._cum, self.rates, arr)
 
     # -- inversion ---------------------------------------------------------
 
@@ -332,7 +326,7 @@ class PiecewiseExponential:
         arr = np.asarray(p, dtype=float)
         if np.any(~((arr > 0.0) & (arr < 1.0))):
             raise ValueError("probabilities must lie strictly inside (0, 1)")
-        out = self.inverse_cum_hazard(-np.log1p(-arr))
+        out = inverse_cum_hazard_at(self.cuts, self._cum, self.rates, -np.log1p(-arr))
         return float(out) if arr.ndim == 0 else out
 
     def median(self):
@@ -349,7 +343,9 @@ class PiecewiseExponential:
         cumulative-hazard scale (``H(T)`` is unit-exponential, truncation
         shifts it by ``H(lower)``), which is the same map as a uniform draw
         on ``(F(lower), F(upper))`` followed by the quantile function but
-        does not saturate when ``H(lower)`` is large.  ``size=None`` returns
+        does not saturate when ``H(lower)`` is large.  ``lower`` must be
+        finite and non-negative; ``upper`` must exceed it, and only
+        ``+inf`` (or ``None``) means no upper bound.  ``size=None`` returns
         a single float.  Draws are reproducible given ``rng`` state and call
         order; never share one generator across concurrent callers.
         """
@@ -359,21 +355,23 @@ class PiecewiseExponential:
                 raise ValueError("lower bound must be finite and non-negative")
         if upper is not None:
             upper = float(upper)
-            if np.isinf(upper):
+            if upper == np.inf:
                 upper = None
-            elif upper <= (lower if lower is not None else 0.0):
+            elif not upper > (lower or 0.0):  # -inf and NaN fail here too
                 raise ValueError("upper bound must exceed the lower bound")
 
-        h_lo = 0.0 if not lower else float(self.cum_hazard(lower))
+        # both bounds now lie in the open support (or are 0 / absent)
+        cuts, cum, rates = self.cuts, self._cum, self.rates
+        h_lo = float(cum_hazard_at(cuts, cum, rates, lower)) if lower else 0.0
         if upper is None:
-            if not np.isinf(self._h_sup):
+            if not rates[-1] > 0:
                 raise UnreachableMassError(
                     "total mass above the lower bound is deficient (zero-rate tail); "
                     "cannot sample with an unbounded upper limit"
                 )
             span = np.inf
         else:
-            span = float(self.cum_hazard(upper)) - h_lo
+            span = float(cum_hazard_at(cuts, cum, rates, upper)) - h_lo
             if not span > 0.0:
                 raise UnreachableMassError("no probability mass inside the requested bounds")
 
@@ -384,5 +382,5 @@ class PiecewiseExponential:
             excess = -np.log1p(-u)
         else:
             excess = -np.log1p(u * np.expm1(-span))
-        out = self.inverse_cum_hazard(h_lo + excess)
+        out = inverse_cum_hazard_at(cuts, cum, rates, h_lo + excess)
         return float(out) if size is None else out

@@ -66,8 +66,8 @@ def default_grid(max_time: float, m: int) -> TimeGrid:
     """Equally spaced grid a_j = max_time * (j - 1) / m for j = 1..m."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    if not max_time > 0:
-        raise ValueError("max_time must be positive")
+    if not 0 < max_time < math.inf:  # NaN fails too
+        raise ValueError("max_time must be finite and positive")
     return TimeGrid(tuple(max_time * j / m for j in range(m)))
 
 

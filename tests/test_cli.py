@@ -76,6 +76,13 @@ def test_dist_bad_probability_is_validation_error(capsys):
     assert main(["dist", "quantile", "--grid", "0", "--rates", "2", "--p", "1.5"]) == 2
 
 
+@pytest.mark.parametrize("upper", ["-inf", "nan"])
+def test_dist_sample_upper_bound_of_minus_inf_or_nan_is_validation_error(capsys, upper):
+    rc = main(["dist", "sample", *S1_ARGS, "--n", "5", "--seed", "1", f"--upper={upper}"])
+    assert rc == 2
+    assert "upper bound must exceed the lower bound" in capsys.readouterr().err
+
+
 def test_dist_unreachable_mass_is_runtime_error(capsys):
     rc = main(["dist", "sample", "--grid", "0,1", "--rates", "1,0", "--n", "5", "--seed", "1"])
     assert rc == 3

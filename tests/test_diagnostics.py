@@ -170,6 +170,16 @@ def test_summarize_pools_chains_but_uses_first_chain_ess():
     assert s_ba.ess == effective_sample_size(b.draws["x"])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_draws_are_rejected(bad):
+    draws = np.r_[np.linspace(0.0, 1.0, 199), bad]
+    for stat in (hpd_interval, effective_sample_size):
+        with pytest.raises(ValueError, match="draws must be finite"):
+            stat(draws)
+    with pytest.raises(ValueError, match="draws must be finite"):
+        summarize([_store(a=draws)])
+
+
 def test_summarize_schema_mismatch():
     with pytest.raises(SchemaError):
         summarize([_store(a=np.arange(200.0)), _store(b=np.arange(200.0))])

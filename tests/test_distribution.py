@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -48,6 +50,14 @@ def test_validate_length_mismatch_and_empty():
     assert any(v.rule == "length" for v in validate_params([], []))
 
 
+def test_validate_repeated_infinite_cut_points_without_a_warning():
+    # neighbours are compared, not subtracted: inf - inf would warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = validate_params([0.0, np.inf, np.inf], [1.0, 1.0, 1.0])
+    assert [(v.rule, v.index) for v in out] == [("finite", 1), ("increasing", 2)]
+
+
 def test_validate_collects_every_violation():
     out = validate_params([1.0, 0.5], [-1.0, 2.0])
     assert {"origin", "increasing", "nonnegative"} <= {v.rule for v in out}
@@ -57,6 +67,13 @@ def test_constructor_raises_with_violation_list():
     with pytest.raises(InvalidParamsError) as err:
         PiecewiseExponential([0.0, 2.0], [1.0, -1.0])
     assert err.value.violations
+
+
+def test_raw_cut_points_and_a_time_grid_build_the_same_distribution():
+    raw, grid = PiecewiseExponential(list(GRID), RATES), PiecewiseExponential(TimeGrid(GRID), RATES)
+    assert raw.grid == grid.grid and repr(raw) == repr(grid)
+    at_cuts = np.array(GRID[1:])
+    assert np.array_equal(raw.cum_hazard(at_cuts), grid.cum_hazard(at_cuts))
 
 
 def test_zero_rates_are_legal():
@@ -369,3 +386,36 @@ def test_sample_rejects_bad_bounds(pe):
         pe.sample(5, rng=rng, lower=-1.0)
     with pytest.raises(ValueError):
         pe.sample(5, rng=rng, lower=2.0, upper=2.0)
+
+
+@pytest.mark.parametrize("lower", [None, 1.0])
+@pytest.mark.parametrize("upper", [-np.inf, np.nan])
+def test_sample_rejects_an_upper_bound_of_minus_inf_or_nan(pe, lower, upper):
+    with pytest.raises(ValueError, match="upper bound must exceed the lower bound"):
+        pe.sample(5, rng=np.random.default_rng(3), lower=lower, upper=upper)
+
+
+def test_only_plus_inf_means_no_upper_bound(pe):
+    for lower in (None, 1.0):
+        a = pe.sample(20, rng=np.random.default_rng(4), lower=lower, upper=np.inf)
+        b = pe.sample(20, rng=np.random.default_rng(4), lower=lower)
+        np.testing.assert_array_equal(a, b)
+
+
+def test_evaluations_do_not_call_the_checking_methods(pe, monkeypatch):
+    # quantile, sample and log_density check their argument once, then go
+    # straight to the ladder functions with values computed inside
+    rng = np.random.default_rng(6)
+    want = (pe.quantile(0.5), pe.log_density(3.483), pe.sample(9, rng=rng, lower=1.0, upper=4.0))
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("checked again inside the distribution")
+
+    for name in ("hazard", "cum_hazard", "survival", "cdf", "inverse_cum_hazard"):
+        monkeypatch.setattr(PiecewiseExponential, name, refuse)
+    rng = np.random.default_rng(6)
+    got = (pe.quantile(0.5), pe.log_density(3.483), pe.sample(9, rng=rng, lower=1.0, upper=4.0))
+    assert got[:2] == want[:2]
+    np.testing.assert_array_equal(got[2], want[2])
+    assert pe.median() == want[0]
+    assert pe.sample(rng=rng) > 0 and np.isfinite(pe.density(np.array([0.5, 7.0]))).all()

@@ -212,6 +212,33 @@ def _kidney_state(spec, rng):
     return kidney, state
 
 
+@pytest.mark.parametrize("impute", [True, False], ids=["imputing", "analytic"])
+@pytest.mark.parametrize("family", [FAMILY_GAMMA_CHAIN, FAMILY_LOGNORMAL_RW])
+def test_beta_block_reads_weights_of_the_frailties_drawn_in_its_sweep(monkeypatch, family, impute):
+    # The weights handed to update_beta are z e^{x' beta} H at the state it
+    # moves: the frailties update_eta drew in the same sweep, after the
+    # rescale, which leaves each z H as it is.  H is recomputed here by the
+    # validated distribution, not by the sweep's ladder.
+    kidney = load_kidney()
+    seen = []
+    real = mcmc._FitContext.update_beta
+
+    def spying(self, state, rng, weight):
+        seen.append((state.copy(), weight.copy()))
+        return real(self, state, rng, weight)
+
+    monkeypatch.setattr(mcmc._FitContext, "update_beta", spying)
+    cfg = McmcConfig(n_chains=1, burn_in=0, n_iter=20, seed=13, impute=impute)
+    run_chain(ModelSpec(family, KIDNEY_GRID), kidney, cfg)
+    assert len(seen) == 20
+    for state, weight in seen:
+        times = state.times if impute else kidney.marginal_times
+        cumhaz = PiecewiseExponential(KIDNEY_GRID, state.rates).cum_hazard(times)
+        expb = np.exp(kidney.design_matrix @ state.beta)
+        want = state.z[kidney.subject_positions] * expb * cumhaz
+        np.testing.assert_allclose(weight, want, rtol=1e-9)
+
+
 def test_frailty_full_conditional_matches_numeric():
     spec = ModelSpec(FAMILY_GAMMA_CHAIN, KIDNEY_GRID)
     kidney, state = _kidney_state(spec, np.random.default_rng(66))

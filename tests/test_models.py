@@ -69,6 +69,12 @@ def test_default_grid_edge_cases():
         default_grid(-1.0, 3)
 
 
+@pytest.mark.parametrize("max_time", [np.inf, -np.inf, np.nan, 0.0])
+def test_default_grid_rejects_a_max_time_that_is_not_finite_and_positive(max_time):
+    with pytest.raises(ValueError, match="max_time must be finite and positive"):
+        default_grid(max_time, 3)
+
+
 # -- sufficient statistics ------------------------------------------------------
 
 

@@ -5,10 +5,12 @@ exposure rows sum to the times, ``(d, R)`` account for every event and every
 unit of exposure, quantiles invert the CDF, and the zeros-trick likelihood
 differs from the direct one by a constant free of the parameters.  They
 also pin the sampler's trusted evaluators of H and its inverse to the
-validated ``PiecewiseExponential`` methods, bit for bit.
+validated ``PiecewiseExponential`` methods, bit for bit, and the parameter
+check to the constructor's refusals.
 """
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -17,12 +19,14 @@ from hypothesis import strategies as st
 
 from pexsurv.data import SurvivalDataset, SurvivalRecord
 from pexsurv.distribution import (
+    InvalidParamsError,
     PiecewiseExponential,
     TimeGrid,
     UnreachableMassError,
     cum_hazard_at,
     hazard_ladder,
     inverse_cum_hazard_at,
+    validate_params,
 )
 from pexsurv.models import (
     FAMILY_GAMMA_CHAIN,
@@ -42,6 +46,26 @@ grids = st.lists(st.floats(0.01, 10.0), max_size=5).map(
 times = st.lists(st.floats(1e-3, 50.0), min_size=1, max_size=30)
 rate = st.one_of(st.just(0.0), st.floats(0.01, 5.0))
 positive_rate = st.floats(0.01, 5.0)
+
+
+non_finite = st.sampled_from([np.inf, -np.inf, np.nan])
+
+
+@st.composite
+def param_pairs(draw):
+    """A valid (cut points, rates) pair, some of its entries made non-finite,
+    perhaps one rate short; or two free lists of any entries."""
+    if draw(st.booleans()):
+        entry = st.one_of(st.just(0.0), st.floats(-10.0, 10.0), non_finite)
+        return [draw(st.lists(entry, max_size=5)) for _ in range(2)]
+    m = draw(st.integers(1, 5))
+    widths = draw(st.lists(st.floats(0.01, 10.0), min_size=m - 1, max_size=m - 1))
+    cuts = np.concatenate(([0.0], np.cumsum(widths)))
+    rates = np.array(draw(st.lists(st.floats(0.0, 5.0), min_size=m, max_size=m)))
+    for arr in (cuts, rates):
+        for i in draw(st.lists(st.integers(0, m - 1), max_size=3)):
+            arr[i] = draw(non_finite)
+    return cuts.tolist(), rates[: m - draw(st.integers(0, 1))].tolist()
 
 
 def _rates(draw, grid, elements):
@@ -142,3 +166,21 @@ def test_trusted_evaluators_equal_the_distribution_methods(grid, draw, ts, zero_
             pe.inverse_cum_hazard(past)
         with pytest.raises(UnreachableMassError, match="saturates"):
             inverse_cum_hazard_at(cuts, cum, rates, past)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(pair=param_pairs())
+def test_validation_never_warns_and_the_constructor_refuses_exactly_its_violations(pair):
+    cuts, rates = pair
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        violations = validate_params(cuts, rates)
+        grid_ok = not validate_params(cuts, np.zeros(len(cuts)))
+        grids = [cuts] + ([TimeGrid(tuple(cuts))] if grid_ok else [])
+        for grid in grids:
+            if violations:
+                with pytest.raises(InvalidParamsError) as err:
+                    PiecewiseExponential(grid, rates)
+                assert err.value.violations == violations
+            else:
+                PiecewiseExponential(grid, rates)
