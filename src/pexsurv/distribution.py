@@ -242,7 +242,8 @@ class PiecewiseExponential:
     Parameters are validated once; prefix sums of ``rates * widths`` are
     cached so every evaluation is O(log m).  Each public method checks its
     own argument once and evaluates through the ladder functions, never
-    through another checking method.  Instances are immutable.
+    through another checking method.  Where H passes the largest double it
+    is +inf, with no warning.  Instances are immutable.
     """
 
     def __init__(self, grid, rates):
@@ -256,7 +257,8 @@ class PiecewiseExponential:
         self.cuts = self.grid._cuts
         self.rates = np.array(rates, dtype=float)
         self.rates.flags.writeable = False
-        self._cum = hazard_ladder(np.diff(self.cuts), self.rates)
+        with np.errstate(over="ignore"):
+            self._cum = hazard_ladder(np.diff(self.cuts), self.rates)
         self._cum.flags.writeable = False
 
     @property
@@ -272,6 +274,11 @@ class PiecewiseExponential:
         """0-based interval index for validated times."""
         return np.searchsorted(self.cuts, arr, side="left") - 1
 
+    def _cum_hazard(self, arr):
+        """H at validated times; +inf, with no warning, past the largest double."""
+        with np.errstate(over="ignore"):
+            return cum_hazard_at(self.cuts, self._cum, self.rates, arr)
+
     def hazard(self, t):
         arr, scalar = _prep_times(t)
         out = self.rates[self._segment(arr)]
@@ -279,25 +286,24 @@ class PiecewiseExponential:
 
     def cum_hazard(self, t):
         arr, scalar = _prep_times(t)
-        out = cum_hazard_at(self.cuts, self._cum, self.rates, arr)
+        out = self._cum_hazard(arr)
         return float(out) if scalar else out
 
     def survival(self, t):
         arr, scalar = _prep_times(t)
-        out = np.exp(-cum_hazard_at(self.cuts, self._cum, self.rates, arr))
+        out = np.exp(-self._cum_hazard(arr))
         return float(out) if scalar else out
 
     def cdf(self, t):
         arr, scalar = _prep_times(t)
-        out = -np.expm1(-cum_hazard_at(self.cuts, self._cum, self.rates, arr))
+        out = -np.expm1(-self._cum_hazard(arr))
         return float(out) if scalar else out
 
     def log_density(self, t):
         """Log density; -inf on intervals with zero rate (density truly zero)."""
         arr, scalar = _prep_times(t)
-        cum_hazard = cum_hazard_at(self.cuts, self._cum, self.rates, arr)
         with np.errstate(divide="ignore"):
-            out = np.log(self.rates[self._segment(arr)]) - cum_hazard
+            out = np.log(self.rates[self._segment(arr)]) - self._cum_hazard(arr)
         return float(out) if scalar else out
 
     def density(self, t):

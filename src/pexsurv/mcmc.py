@@ -37,9 +37,9 @@ calling process.
 
 Inputs are validated once, by the public constructors (``TimeGrid``,
 ``PiecewiseExponential``, ``SurvivalRecord``, ``ModelSpec``); the sweep then
-evaluates H and its inverse from trusted ``(cuts, cum, rates)`` arrays with
-the plain functions of :mod:`pexsurv.distribution` and builds no
-distribution object.
+builds no distribution object.  It reads H as the rates times interval
+overlaps, and only imputation's inverse draw reads the ladder of the rates,
+through the plain functions of :mod:`pexsurv.distribution`.
 
 Scalar slice sampling follows the stepping-out / shrinkage scheme: the
 bracket grows by its width up to 50 total expansions (an exceeded cap simply
@@ -77,12 +77,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .data import SurvivalDataset
-from .distribution import (
-    UnreachableMassError,
-    cum_hazard_at,
-    hazard_ladder,
-    inverse_cum_hazard_at,
-)
+from .distribution import UnreachableMassError, hazard_ladder, inverse_cum_hazard_at
 from .models import (
     FAMILY_GAMMA_CHAIN,
     ModelSpec,
@@ -254,9 +249,10 @@ class _FitContext:
     """Precomputed data views shared by every sweep of one frailty fit, and its blocks.
 
     ``augmented`` is the likelihood mode (``McmcConfig.impute``).  Grid, data
-    and specification were validated by their constructors, so the sweep
-    evaluates H and H^-1 from trusted arrays: the grid's ``cuts`` and
-    ``widths``, taken once here, and the ladder of the current rates.
+    and specification were validated by their constructors.  H is the rates
+    times interval overlaps: the sweep's ``sufficient_stats`` at the working
+    times, ``bound_overlap`` at the censoring bounds, which never move;
+    imputation inverts H on the ladder over the grid's ``cuts``.
     """
 
     def __init__(self, spec: ModelSpec, data: SurvivalDataset, augmented: bool):
@@ -291,6 +287,7 @@ class _FitContext:
         self.events = data.event_flags
         self.cens_idx = np.flatnonzero(~self.events)
         self.marg_times = data.marginal_times
+        self.bound_overlap = spec.grid.exposures(self.marg_times[self.cens_idx]).T  # (m, #censored)
         # Density indicator per record: with augmentation every working time
         # is scored as an event; otherwise only true events are.
         dens = np.ones(data.n_records) if augmented else self.events.astype(float)
@@ -332,9 +329,6 @@ class _FitContext:
             if 0.0 < width < math.inf:
                 self.slice_widths[i] = width
 
-    def working_times(self, state):
-        return state.times if self.augmented else self.marg_times
-
     def describe_record(self, i):
         """Which record ``i`` is, and which time of it the sweep works with."""
         r = self.data.records[i]
@@ -345,18 +339,16 @@ class _FitContext:
             return f"imputed time of censored {where}, censored at {r.censor_time:g})"
         return f"censoring time of {where}, censored at {r.censor_time:g})"
 
-    def cum_hazard(self, state):
+    def cum_hazard(self, rates, overlap):
         """Baseline cumulative hazard of every record at its working time.
 
-        A value that is not finite (a huge imputed time under a large rate)
-        aborts the sweep with an error that names the record.  Ladder entries
-        may overflow to inf (a huge rate in an interval no record reaches);
-        only a record that reads one aborts.
+        H is ``rates @ overlap``, ``overlap`` the working times' interval
+        overlaps (``SufficientStats.overlap``), so the rate of an interval
+        that no record reaches meets only zeros.  A value that is not finite
+        aborts the sweep with an error that names the record.
         """
-        rates = state.rates
         with np.errstate(over="ignore"):  # checked below
-            cum = hazard_ladder(self.widths, rates)
-            out = cum_hazard_at(self.cuts, cum, rates, self.working_times(state))
+            out = rates @ overlap
         bad = np.flatnonzero(~np.isfinite(out))
         if bad.size:
             raise FloatingPointError(
@@ -383,25 +375,22 @@ class _FitContext:
             )
         w = np.exp(self.X[idx] @ state.beta) * state.z[self.subj[idx]]
         u = np.maximum(rng.random(idx.size), np.nextafter(0.0, 1.0))
-        bounds = self.marg_times[idx]
         with np.errstate(over="ignore"):  # checked below
-            cum = hazard_ladder(self.widths, rates)
-            level = cum_hazard_at(self.cuts, cum, rates, bounds) - np.log1p(-u) / w
-            times = inverse_cum_hazard_at(self.cuts, cum, rates, level)
+            level = rates @ self.bound_overlap - np.log1p(-u) / w
+            times = inverse_cum_hazard_at(self.cuts, hazard_ladder(self.widths, rates), rates, level)
         bad = np.flatnonzero(~np.isfinite(times))
         if bad.size:
             raise FloatingPointError(f"{self.describe_record(int(idx[bad[0]]))} is not finite")
         state.times[idx] = times
 
-    def update_rates(self, state, rng):
+    def update_rates(self, state, rng, stats):
         # Each rate is sliced on x = log lambda_j (xi_j for the random walk),
-        # with x_0 = 0 before the first: its likelihood d_j x - R_j e^x, the
-        # link from the rate before and, but for the last rate, the link to
-        # the rate after.  The targets do plain float arithmetic on d, R and
-        # the log-rates, taken out of numpy once per block, and read -inf
-        # where e^x would not be a positive, finite double.
-        st = sufficient_stats(state, self.spec, self.data, augmented=self.augmented)
-        d, risk = st.d.tolist(), st.exposure.tolist()
+        # with x_0 = 0 before the first: its likelihood d_j x - R_j e^x, (d, R)
+        # from ``stats``, the link from the rate before and, but for the last
+        # rate, the link to the rate after.  The targets do plain float
+        # arithmetic on d, R and the log-rates, taken out of numpy once per
+        # block, and read -inf where e^x would not be a positive, finite double.
+        d, risk = stats.d.tolist(), stats.exposure.tolist()
         widths, jumps = self.slice_widths, self.jump_sums
         link = self.link
         xi = np.log(state.rates).tolist()
@@ -548,11 +537,13 @@ class _FitContext:
     def sweep(self, state, rng):
         if self.augmented and self.cens_idx.size:
             self.impute(state, rng)
-        self.update_rates(state, rng)
+        # no working time moves after imputation: (d, R) and H share overlaps
+        stats = sufficient_stats(state, self.spec, self.data, augmented=self.augmented)
+        self.update_rates(state, rng, stats)
         # beta and the rates are fixed until update_scale; the rescale leaves
         # each record's weight z e^{x' beta} H as it is.
         expb = np.exp(self.X @ state.beta)
-        cumhaz = self.cum_hazard(state)
+        cumhaz = self.cum_hazard(state.rates, stats.overlap)
         self.update_eta(state, rng, expb, cumhaz)
         weight = state.z[self.subj] * expb * cumhaz
         self.update_scale(state, rng)

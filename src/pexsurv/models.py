@@ -145,10 +145,12 @@ class ParamState:
 
 @dataclass(frozen=True)
 class SufficientStats:
-    """Per-interval counts ``d`` and weighted time at risk ``exposure``."""
+    """Per-interval counts ``d`` and weighted time at risk ``exposure``, both
+    summed from ``overlap``, the working times' ``grid.exposures(times).T``."""
 
     d: np.ndarray
     exposure: np.ndarray
+    overlap: np.ndarray
 
 
 def initial_state(spec: ModelSpec, data: SurvivalDataset) -> ParamState:
@@ -200,7 +202,7 @@ def sufficient_stats(
     counts = np.count_nonzero(exposed, axis=1)
     d = counts.astype(float)
     d[:-1] -= counts[1:]
-    return SufficientStats(d=d, exposure=overlap @ record_weights(state, spec, data))
+    return SufficientStats(d, overlap @ record_weights(state, spec, data), overlap)
 
 
 def _check_positive_state(state, spec):

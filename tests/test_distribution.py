@@ -194,6 +194,24 @@ def test_log_density_is_minus_inf_on_zero_rate():
     assert pe.density(2.0) == 0.0
 
 
+def test_overflowing_cumulative_hazard_reads_its_limits_without_a_warning():
+    # 1e200 * 1e200 passes the largest double, at the last cut and at 1e199
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pe = PiecewiseExponential([0.0, 1e200], [1e200, 1.0])
+        assert pe.cum_hazard(1e199) == np.inf
+        assert pe.survival(1e199) == 0.0
+        assert pe.cdf(1e199) == 1.0
+        assert pe.log_density(1e199) == -np.inf
+        assert pe.density(1e199) == 0.0
+        t = np.array([1.0, 1e199, 3e200])
+        np.testing.assert_array_equal(pe.cum_hazard(t), [1e200, np.inf, np.inf])
+        np.testing.assert_array_equal(pe.survival(t), [0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(pe.cdf(t), [1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(pe.log_density(t), [np.log(1e200) - 1e200, -np.inf, -np.inf])
+        np.testing.assert_array_equal(pe.density(t), [0.0, 0.0, 0.0])
+
+
 def test_density_is_exp_of_log_density(pe):
     t = np.array([0.5, 2.5, 4.0, 9.0])
     np.testing.assert_allclose(pe.density(t), np.exp(pe.log_density(t)), rtol=1e-15)

@@ -197,9 +197,15 @@ def _captured_targets(monkeypatch):
     return targets
 
 
+def _stats(ctx, state):
+    """The sufficient statistics that the sweep hands its blocks at the state."""
+    return sufficient_stats(state, ctx.spec, ctx.data, augmented=ctx.augmented)
+
+
 def _record_weights(ctx, state):
     """Each record's z e^{x' beta} H at the state, as the sweep hands them on."""
-    return state.z[ctx.subj] * np.exp(ctx.X @ state.beta) * ctx.cum_hazard(state)
+    cumhaz = ctx.cum_hazard(state.rates, _stats(ctx, state).overlap)
+    return state.z[ctx.subj] * np.exp(ctx.X @ state.beta) * cumhaz
 
 
 def _kidney_state(spec, rng):
@@ -218,7 +224,7 @@ def test_beta_block_reads_weights_of_the_frailties_drawn_in_its_sweep(monkeypatc
     # The weights handed to update_beta are z e^{x' beta} H at the state it
     # moves: the frailties update_eta drew in the same sweep, after the
     # rescale, which leaves each z H as it is.  H is recomputed here by the
-    # validated distribution, not by the sweep's ladder.
+    # validated distribution, not from the sweep's interval overlaps.
     kidney = load_kidney()
     seen = []
     real = mcmc._FitContext.update_beta
@@ -271,7 +277,8 @@ def test_frailty_update_prior_limit():
     state.rates = np.array([1e-9])
     state.eta = 2.0
     ctx = mcmc._FitContext(spec, data, augmented=False)
-    exposure = np.exp(data.design_matrix @ state.beta) * ctx.cum_hazard(state)
+    cumhaz = ctx.cum_hazard(state.rates, _stats(ctx, state).overlap)
+    exposure = np.exp(data.design_matrix @ state.beta) * cumhaz
     ctx.update_z(state, np.random.default_rng(19), np.bincount(data.subject_positions, exposure))
     res = stats.kstest(state.z, "gamma", args=(2.0, 0, 0.5))
     assert res.pvalue > 0.001
@@ -299,7 +306,8 @@ def test_collapsed_eta_target_is_the_z_marginal(monkeypatch, augmented):
     targets = _captured_targets(monkeypatch)
     ctx = mcmc._FitContext(spec, kidney, augmented)
     expb = np.exp(kidney.design_matrix @ state.beta)
-    ctx.update_eta(state, np.random.default_rng(0), expb, ctx.cum_hazard(state))
+    cumhaz = ctx.cum_hazard(state.rates, _stats(ctx, state).overlap)
+    ctx.update_eta(state, np.random.default_rng(0), expb, cumhaz)
     (logf,) = targets
 
     times = state.times if augmented else kidney.marginal_times
@@ -348,7 +356,8 @@ def test_frailty_rate_target_is_the_joint_along_its_log_rate(monkeypatch, family
     spec = ModelSpec(family, KIDNEY_GRID, HyperParams(alpha=3.0, nu=0.5))
     kidney, state = _kidney_state(spec, np.random.default_rng(73))
     targets = _captured_targets(monkeypatch)
-    mcmc._FitContext(spec, kidney, augmented).update_rates(state, np.random.default_rng(0))
+    ctx = mcmc._FitContext(spec, kidney, augmented)
+    ctx.update_rates(state, np.random.default_rng(0), _stats(ctx, state))
     assert len(targets) == spec.grid.m
     for j in (0, 4, 9):
         x0 = np.log(state.rates[j])
@@ -502,7 +511,7 @@ def test_targets_read_minus_inf_where_a_rate_would_leave_the_doubles(monkeypatch
     state.rates[-2:] = (1e-315, 1e-320)
     targets = _captured_targets(monkeypatch)
     ctx = mcmc._FitContext(spec, kidney, augmented=True)
-    ctx.update_rates(state, np.random.default_rng(0))
+    ctx.update_rates(state, np.random.default_rng(0), _stats(ctx, state))
     ctx.update_beta(state, np.random.default_rng(0), _record_weights(ctx, state))
     *rate_targets, _, age = targets
     # finite at the current point, even where 1 / lambda_{j-1} overflows;
@@ -646,9 +655,35 @@ def test_overflowing_cumulative_hazard_names_the_record():
     state.rates = np.full(4, 1e10)
     ctx = mcmc._FitContext(spec, data, augmented=False)
     with pytest.raises(FloatingPointError) as info:
-        ctx.cum_hazard(state)
+        ctx.cum_hazard(state.rates, _stats(ctx, state).overlap)
     assert str(info.value) == (
         "cumulative hazard at the time of record 0 (subject 1, replicate 1, event at 1e+300) "
+        "is not finite"
+    )
+
+    # A rate of e^709 on (4, 100] meets no record below 4, so H is finite,
+    # with no warning; one record at 150 reads it, and H there overflows.
+    grid = TimeGrid((0.0, 2.0, 4.0, 100.0))
+    rates = np.array([0.5, 0.5, math.exp(709.0), 0.5])
+    records = [SurvivalRecord(i + 1, 1, 0.1 * (i + 1), 1) for i in range(39)]
+    data = SurvivalDataset(records)
+    spec = ModelSpec(FAMILY_LOGNORMAL_RW, grid)
+    state = initial_state(spec, data)
+    ctx = mcmc._FitContext(spec, data, augmented=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cumhaz = ctx.cum_hazard(rates, _stats(ctx, state).overlap)
+        want = PiecewiseExponential(grid, rates).cum_hazard(data.marginal_times)
+    assert np.all(np.isfinite(cumhaz))
+    np.testing.assert_allclose(cumhaz, want, rtol=1e-14)
+
+    data = SurvivalDataset(records + [SurvivalRecord(40, 1, 150.0, 1)])
+    state = initial_state(spec, data)
+    ctx = mcmc._FitContext(spec, data, augmented=False)
+    with pytest.raises(FloatingPointError) as info:
+        ctx.cum_hazard(rates, _stats(ctx, state).overlap)
+    assert str(info.value) == (
+        "cumulative hazard at the time of record 39 (subject 40, replicate 1, event at 150) "
         "is not finite"
     )
 

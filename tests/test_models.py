@@ -163,6 +163,24 @@ def test_sufficient_stats_equal_the_record_major_reference(augmented, n):
     assert got.exposure.shape == (GRID4.m,)
 
 
+@pytest.mark.parametrize("augmented", [True, False], ids=["augmented", "marginal"])
+@pytest.mark.parametrize("family", [FAMILY_SIMPLE, FAMILY_GAMMA_CHAIN])
+def test_sufficient_stats_are_summed_from_the_overlap_they_return(kidney, family, augmented):
+    spec = ModelSpec(family, default_grid(562.0, 10))
+    state = _random_kidney_state(spec, kidney, np.random.default_rng(17))
+    # the censored records' working times lie past their bounds, as after imputation
+    state.times = np.where(kidney.event_flags, kidney.marginal_times, 1.5 * kidney.marginal_times)
+    st = sufficient_stats(state, spec, kidney, augmented=augmented)
+    times = state.times if augmented else kidney.marginal_times
+    np.testing.assert_array_equal(st.overlap, spec.grid.exposures(times).T)
+    assert st.overlap.shape == (spec.grid.m, kidney.n_records)
+    # each record's interval is the last one it overlaps; d counts the density records
+    last = spec.grid.m - 1 - np.argmax(st.overlap[::-1] > 0.0, axis=0)
+    counted = np.ones(kidney.n_records, dtype=bool) if augmented else kidney.event_flags
+    np.testing.assert_array_equal(st.d, np.bincount(last[counted], minlength=spec.grid.m))
+    np.testing.assert_array_equal(st.exposure, st.overlap @ record_weights(state, spec, kidney))
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.5, np.inf, np.nan])
 def test_sufficient_stats_reject_working_times_outside_the_support(bad):
     data = SurvivalDataset([_event(1, 1.5), _censored(2, 2.5), _event(3, 4.0)])
