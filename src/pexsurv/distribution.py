@@ -25,11 +25,11 @@ Boundary conventions (fixed here once, relied on everywhere else):
   endpoint of a flat stretch of ``H`` and raising
   :class:`UnreachableMassError` for mass that ``H`` never reaches.
 
-The ladder arithmetic lives once, in the plain functions
-:func:`hazard_ladder`, :func:`cum_hazard_at` and
-:func:`inverse_cum_hazard_at`.  They trust their arrays:
-:class:`PiecewiseExponential` validates before it calls them, and the sampler
-calls them on a grid and rates that its constructors already checked.
+Two plain functions, :func:`hazard_ladder` and :func:`inverse_cum_hazard_at`,
+hold the ladder arithmetic that is shared.  They trust their arrays:
+:class:`PiecewiseExponential` validates before it calls them, and
+``mcmc.impute``, their one caller outside the class, calls them on a grid and
+rates that its constructors already checked.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ __all__ = [
     "TimeGrid",
     "PiecewiseExponential",
     "hazard_ladder",
-    "cum_hazard_at",
     "inverse_cum_hazard_at",
 ]
 
@@ -150,12 +149,6 @@ def hazard_ladder(widths, rates) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(rates[:-1] * widths)))
 
 
-def cum_hazard_at(cuts, cum, rates, t):
-    """H(t) for times in the open support, given ``cum = hazard_ladder(...)``."""
-    j = np.searchsorted(cuts, t, side="left") - 1
-    return cum[j] + rates[j] * (t - cuts[j])
-
-
 def inverse_cum_hazard_at(cuts, cum, rates, w):
     """Smallest t with H(t) >= w, for levels ``w >= 0``.
 
@@ -241,9 +234,11 @@ class PiecewiseExponential:
 
     Parameters are validated once; prefix sums of ``rates * widths`` are
     cached so every evaluation is O(log m).  Each public method checks its
-    own argument once and evaluates through the ladder functions, never
-    through another checking method.  Where H passes the largest double it
-    is +inf, with no warning.  Instances are immutable.
+    own argument once and evaluates through ``_locate`` (H) or ``_invert``.
+    Every H and every inverse reads +inf past the largest double, with no
+    warning.  :meth:`sample` raises :class:`UnreachableMassError` for bounds
+    that hold no float mass: H(lower) = +inf, H(upper) <= H(lower), or no
+    upper bound above a zero-rate tail.  Instances are immutable.
     """
 
     def __init__(self, grid, rates):
@@ -270,40 +265,43 @@ class PiecewiseExponential:
 
     # -- evaluation --------------------------------------------------------
 
-    def _segment(self, arr):
-        """0-based interval index for validated times."""
-        return np.searchsorted(self.cuts, arr, side="left") - 1
-
-    def _cum_hazard(self, arr):
-        """H at validated times; +inf, with no warning, past the largest double."""
+    def _locate(self, arr):
+        """0-based interval index and H at validated times, one lookup each."""
+        j = np.searchsorted(self.cuts, arr, side="left") - 1
         with np.errstate(over="ignore"):
-            return cum_hazard_at(self.cuts, self._cum, self.rates, arr)
+            return j, self._cum[j] + self.rates[j] * (arr - self.cuts[j])
+
+    def _invert(self, w):
+        """Smallest t with H(t) >= w, for checked levels ``w >= 0``."""
+        with np.errstate(over="ignore"):
+            return inverse_cum_hazard_at(self.cuts, self._cum, self.rates, w)
 
     def hazard(self, t):
         arr, scalar = _prep_times(t)
-        out = self.rates[self._segment(arr)]
+        out = self.rates[self._locate(arr)[0]]
         return float(out) if scalar else out
 
     def cum_hazard(self, t):
         arr, scalar = _prep_times(t)
-        out = self._cum_hazard(arr)
+        out = self._locate(arr)[1]
         return float(out) if scalar else out
 
     def survival(self, t):
         arr, scalar = _prep_times(t)
-        out = np.exp(-self._cum_hazard(arr))
+        out = np.exp(-self._locate(arr)[1])
         return float(out) if scalar else out
 
     def cdf(self, t):
         arr, scalar = _prep_times(t)
-        out = -np.expm1(-self._cum_hazard(arr))
+        out = -np.expm1(-self._locate(arr)[1])
         return float(out) if scalar else out
 
     def log_density(self, t):
         """Log density; -inf on intervals with zero rate (density truly zero)."""
         arr, scalar = _prep_times(t)
+        j, h = self._locate(arr)
         with np.errstate(divide="ignore"):
-            out = np.log(self.rates[self._segment(arr)]) - self._cum_hazard(arr)
+            out = np.log(self.rates[j]) - h
         return float(out) if scalar else out
 
     def density(self, t):
@@ -325,14 +323,14 @@ class PiecewiseExponential:
         w = np.asarray(w, dtype=float)
         if not np.all(w >= 0.0):
             raise ValueError("cumulative hazard levels must be non-negative")
-        return inverse_cum_hazard_at(self.cuts, self._cum, self.rates, w)
+        return self._invert(w)
 
     def quantile(self, p):
         """Generalized inverse CDF, inf{t : F(t) >= p}, for p in (0, 1)."""
         arr = np.asarray(p, dtype=float)
         if np.any(~((arr > 0.0) & (arr < 1.0))):
             raise ValueError("probabilities must lie strictly inside (0, 1)")
-        out = inverse_cum_hazard_at(self.cuts, self._cum, self.rates, -np.log1p(-arr))
+        out = self._invert(-np.log1p(-arr))
         return float(out) if arr.ndim == 0 else out
 
     def median(self):
@@ -367,17 +365,18 @@ class PiecewiseExponential:
                 raise ValueError("upper bound must exceed the lower bound")
 
         # both bounds now lie in the open support (or are 0 / absent)
-        cuts, cum, rates = self.cuts, self._cum, self.rates
-        h_lo = float(cum_hazard_at(cuts, cum, rates, lower)) if lower else 0.0
+        h_lo = float(self._locate(lower)[1]) if lower else 0.0
+        if h_lo == np.inf:  # S(lower) is 0.0: no float mass above the bound
+            raise UnreachableMassError(f"H at the lower bound {lower:g} is infinite; no mass above it")
         if upper is None:
-            if not rates[-1] > 0:
+            if not self.rates[-1] > 0:
                 raise UnreachableMassError(
                     "total mass above the lower bound is deficient (zero-rate tail); "
                     "cannot sample with an unbounded upper limit"
                 )
             span = np.inf
         else:
-            span = float(cum_hazard_at(cuts, cum, rates, upper)) - h_lo
+            span = float(self._locate(upper)[1]) - h_lo
             if not span > 0.0:
                 raise UnreachableMassError("no probability mass inside the requested bounds")
 
@@ -388,5 +387,5 @@ class PiecewiseExponential:
             excess = -np.log1p(-u)
         else:
             excess = -np.log1p(u * np.expm1(-span))
-        out = inverse_cum_hazard_at(cuts, cum, rates, h_lo + excess)
+        out = self._invert(h_lo + excess)
         return float(out) if size is None else out

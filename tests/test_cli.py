@@ -89,6 +89,15 @@ def test_dist_unreachable_mass_is_runtime_error(capsys):
     assert "runtime error" in capsys.readouterr().err
 
 
+def test_dist_sample_above_an_infinite_cumulative_hazard_is_runtime_error(capsys):
+    # H(1e199) = 1e200 * 1e199 passes the largest double: no mass lies above it
+    args = ["--grid", "0,1e200", "--rates", "1e200,1", "--lower", "1e199"]
+    assert main(["dist", "sample", *args, "--n", "3", "--seed", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("runtime error: ") and "lower bound 1e+199" in err
+
+
 # -- fit ----------------------------------------------------------------------
 
 

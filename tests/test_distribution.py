@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -212,6 +213,41 @@ def test_overflowing_cumulative_hazard_reads_its_limits_without_a_warning():
         np.testing.assert_array_equal(pe.density(t), [0.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize(
+    "grid, rates, lower, finite_lower",
+    [
+        ([0.0, 1e200], [1e200, 1.0], 1e199, 1e100),
+        ([0.0, 10.0, 20.0], [1e308, 1e-3, 1.0], 15.0, 1e-300),
+    ],
+)
+def test_sample_refuses_a_lower_bound_where_the_cumulative_hazard_is_infinite(
+    grid, rates, lower, finite_lower
+):
+    # S(lower) is 0.0, so the float distribution has no mass above the bound
+    pe = PiecewiseExponential(grid, rates)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert pe.survival(lower) == 0.0
+        for upper in (None, 2 * lower):
+            with pytest.raises(UnreachableMassError, match=re.escape(f"lower bound {lower:g} ")):
+                pe.sample(3, rng=np.random.default_rng(1), lower=lower, upper=upper)
+        # a lower bound where H is still finite samples as before
+        draws = pe.sample(3, rng=np.random.default_rng(1), lower=finite_lower)
+        assert np.all(draws >= finite_lower) and np.isfinite(draws).all()
+
+
+def test_a_subnormal_rate_inverts_to_plus_inf_without_a_warning():
+    # ln 2 / 5e-324 passes the largest double
+    pe = PiecewiseExponential([0.0], [5e-324])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert pe.quantile(0.5) == np.inf
+        assert pe.median() == np.inf
+        assert pe.inverse_cum_hazard(1.0) == np.inf
+        np.testing.assert_array_equal(pe.inverse_cum_hazard([0.0, 1.0]), [0.0, np.inf])
+        np.testing.assert_array_equal(pe.sample(2, rng=np.random.default_rng(1)), [np.inf, np.inf])
+
+
 def test_density_is_exp_of_log_density(pe):
     t = np.array([0.5, 2.5, 4.0, 9.0])
     np.testing.assert_allclose(pe.density(t), np.exp(pe.log_density(t)), rtol=1e-15)
@@ -422,7 +458,7 @@ def test_only_plus_inf_means_no_upper_bound(pe):
 
 def test_evaluations_do_not_call_the_checking_methods(pe, monkeypatch):
     # quantile, sample and log_density check their argument once, then go
-    # straight to the ladder functions with values computed inside
+    # straight to the private evaluators with values computed inside
     rng = np.random.default_rng(6)
     want = (pe.quantile(0.5), pe.log_density(3.483), pe.sample(9, rng=rng, lower=1.0, upper=4.0))
 

@@ -4,13 +4,15 @@ They pin the identities that the sampler's sufficient statistics rest on:
 exposure rows sum to the times, ``(d, R)`` account for every event and every
 unit of exposure, quantiles invert the CDF, and the zeros-trick likelihood
 differs from the direct one by a constant free of the parameters.  They
-also pin the sampler's trusted evaluators of H and its inverse to the
-validated ``PiecewiseExponential`` methods, bit for bit, and the parameter
-check to the constructor's refusals.
+also pin the sampler's trusted ladder and inverse of H to the validated
+``PiecewiseExponential`` methods, bit for bit, the parameter check to the
+constructor's refusals, and every distribution method, on parameters from
+the smallest subnormal to 1e300, to a result free of warnings and NaN.
 """
 
 import re
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -23,7 +25,6 @@ from pexsurv.distribution import (
     PiecewiseExponential,
     TimeGrid,
     UnreachableMassError,
-    cum_hazard_at,
     hazard_ladder,
     inverse_cum_hazard_at,
     validate_params,
@@ -49,6 +50,8 @@ positive_rate = st.floats(0.01, 5.0)
 
 
 non_finite = st.sampled_from([np.inf, -np.inf, np.nan])
+# positive doubles from the smallest subnormal to 1e300, the ends drawn often
+extreme = st.one_of(st.sampled_from([5e-324, 2.2e-308, 1.0, 1e300]), st.floats(5e-324, 1e300))
 
 
 @st.composite
@@ -148,10 +151,7 @@ def test_trusted_evaluators_equal_the_distribution_methods(grid, draw, ts, zero_
     # the arrays as the sampler builds them, from the public cut points
     cuts = np.array(grid.cut_points)
     cum = hazard_ladder(np.diff(cuts), rates)
-    t = np.array(ts)
-    h = cum_hazard_at(cuts, cum, rates, t)
-    assert np.array_equal(h, pe.cum_hazard(t))
-
+    h = pe.cum_hazard(np.array(ts))
     levels = np.concatenate(([0.0], h, draw.draw(st.lists(st.floats(0.0, 100.0), max_size=5))))
     try:
         expected = pe.inverse_cum_hazard(levels)
@@ -184,3 +184,37 @@ def test_validation_never_warns_and_the_constructor_refuses_exactly_its_violatio
                 assert err.value.violations == violations
             else:
                 PiecewiseExponential(grid, rates)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    cuts=st.sets(extreme, max_size=4),
+    draw=st.data(),
+    ts=st.lists(extreme, min_size=1, max_size=4),
+    p=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    bounds=st.lists(extreme, min_size=2, max_size=2).map(sorted),
+)
+def test_extreme_valid_parameters_evaluate_without_a_warning_or_a_nan(cuts, draw, ts, p, bounds):
+    m = len(cuts) + 1
+    rates = draw.draw(st.lists(st.one_of(st.just(0.0), extreme), min_size=m, max_size=m))
+    pe = PiecewiseExponential([0.0, *sorted(cuts)], rates)
+    t = np.array(ts)
+    lower, upper = bounds
+    names = ("hazard", "cum_hazard", "survival", "cdf", "log_density", "density")
+    calls = {name: partial(getattr(pe, name), t) for name in names}
+    calls["inverse_cum_hazard"] = lambda: pe.inverse_cum_hazard(np.append(pe.cum_hazard(t), t))
+    calls["quantile"] = partial(pe.quantile, p)
+    calls["sample"] = lambda: pe.sample(3, rng=np.random.default_rng(0))
+    calls["sample above lower"] = lambda: pe.sample(3, rng=np.random.default_rng(0), lower=lower)
+    if upper > lower:
+        calls["sample between bounds"] = lambda: pe.sample(
+            3, rng=np.random.default_rng(0), lower=lower, upper=upper
+        )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, call in calls.items():
+            try:
+                out = call()
+            except UnreachableMassError:
+                continue
+            assert not np.isnan(out).any(), name
