@@ -11,9 +11,10 @@ hazard is continuous and piecewise linear:
 
 with ``S(t) = exp(-H(t))``, ``F(t) = 1 - S(t)`` and
 ``f(t) = h(t) * exp(-H(t))``.  Quantiles invert ``H`` at ``w = -ln(1 - p)``
-segment by segment.  All evaluation methods are pure functions of state
-frozen at construction time and are safe for concurrent use; sampling
-mutates only the caller-supplied generator.
+with one lookup per level in the ladder of H at the cut points.  All
+evaluation methods are pure functions of state frozen at construction time
+and are safe for concurrent use; sampling mutates only the caller-supplied
+generator.
 
 Boundary conventions (fixed here once, relied on everywhere else):
 
@@ -22,7 +23,7 @@ Boundary conventions (fixed here once, relied on everywhere else):
 * ``t <= 0`` is outside the support and is a domain error;
 * zero rates are legal: the density is zero on such an interval and the
   quantile function uses the generalized inverse, returning the left
-  endpoint of a flat stretch of ``H`` and raising
+  endpoint of a flat stretch of ``H`` (so level 0 reads t = 0) and raising
   :class:`UnreachableMassError` for mass that ``H`` never reaches.
 
 Two plain functions, :func:`hazard_ladder` and :func:`inverse_cum_hazard_at`,
@@ -146,29 +147,34 @@ def _prep_times(t):
 
 def hazard_ladder(widths, rates) -> np.ndarray:
     """H at each cut point, from ``widths = np.diff(cut_points)``."""
-    return np.concatenate(([0.0], np.cumsum(rates[:-1] * widths)))
+    out = np.zeros(len(rates))
+    np.cumsum(rates[:-1] * widths, out=out[1:])
+    return out
 
 
 def inverse_cum_hazard_at(cuts, cum, rates, w):
     """Smallest t with H(t) >= w, for levels ``w >= 0``.
 
-    Inverts on the ladder of intervals where H actually climbs, so flat
-    stretches are skipped.  Raises :class:`UnreachableMassError` for levels
+    One lookup finds, for each level, the first interval j whose end
+    reaches it.  For w > 0 its start lies below w (H(a_j) < w), so H climbs
+    on it and its rate is positive; flat stretches are never chosen.  Level
+    0 reads t = 0.0, which a leading zero rate would make 0/0.  Raises
+    :class:`UnreachableMassError` when every rate is zero and for levels
     above the supremum of H (zero-rate tail).
     """
-    pos = np.flatnonzero(rates > 0)
-    if pos.size == 0:
-        raise UnreachableMassError("all rates are zero; the distribution has no mass")
-    tail_climbs = rates[-1] > 0
-    hend = np.append(cum[1:], np.inf if tail_climbs else cum[-1])[pos]
-    k = np.searchsorted(hend, w, side="left")
-    if (k >= pos.size).any():
-        h_sup = np.inf if tail_climbs else float(cum[-1])
-        raise UnreachableMassError(
-            f"cumulative hazard saturates at {h_sup:g}; requested level unreachable"
-        )
-    j = pos[k]
-    return cuts[j] + (w - cum[j]) / rates[j]
+    if not rates[-1] > 0:
+        if not rates.any():
+            raise UnreachableMassError("all rates are zero; the distribution has no mass")
+        if not (w <= cum[-1]).all():
+            raise UnreachableMassError(
+                f"cumulative hazard saturates at {float(cum[-1]):g}; requested level unreachable"
+            )
+    j = np.searchsorted(cum[1:], w, side="left")
+    rise = w - cum[j]
+    if rates[0] > 0:
+        return cuts[j] + rise / rates[j]
+    # only level 0 meets a zero rate here (j = 0, rise = 0): it keeps t = 0.0
+    return cuts[j] + np.divide(rise, rates[j], out=np.zeros_like(rise), where=rise > 0)
 
 
 @dataclass(frozen=True)

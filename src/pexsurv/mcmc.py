@@ -97,9 +97,10 @@ __all__ = [
 ]
 
 
-# Largest x with a finite e^x, and smallest with a positive one.
+# The smallest positive double; largest x with a finite e^x, and smallest with a positive one.
+_TINY = np.nextafter(0.0, 1.0)
 _LOG_MAX = math.log(np.finfo(float).max)
-_LOG_MIN = math.log(np.nextafter(0.0, 1.0))
+_LOG_MIN = math.log(_TINY)
 
 # A slice width is frozen after burn-in at this multiple of the coordinate's
 # mean burn-in jump: for a normal target the mean jump is ~1.05 sd at any
@@ -286,6 +287,8 @@ class _FitContext:
         self.n_sub = max(data.n_subjects, 1)
         self.events = data.event_flags
         self.cens_idx = np.flatnonzero(~self.events)
+        # imputation's fixed per-chain views: the censored rows of X and their subjects
+        self.cens_X, self.cens_subj = self.X[self.cens_idx], self.subj[self.cens_idx]
         self.marg_times = data.marginal_times
         self.bound_overlap = spec.grid.exposures(self.marg_times[self.cens_idx]).T  # (m, #censored)
         # Density indicator per record: with augmentation every working time
@@ -349,11 +352,9 @@ class _FitContext:
         """
         with np.errstate(over="ignore"):  # checked below
             out = rates @ overlap
-        bad = np.flatnonzero(~np.isfinite(out))
-        if bad.size:
-            raise FloatingPointError(
-                f"cumulative hazard at the {self.describe_record(int(bad[0]))} is not finite"
-            )
+        if not np.isfinite(out).all():
+            bad = int(np.flatnonzero(~np.isfinite(out))[0])
+            raise FloatingPointError(f"cumulative hazard at the {self.describe_record(bad)} is not finite")
         return out
 
     # -- sweep pieces ------------------------------------------------------
@@ -373,14 +374,14 @@ class _FitContext:
             raise UnreachableMassError(
                 "zero-rate tail: censored times cannot be imputed above their bounds"
             )
-        w = np.exp(self.X[idx] @ state.beta) * state.z[self.subj[idx]]
-        u = np.maximum(rng.random(idx.size), np.nextafter(0.0, 1.0))
+        w = np.exp(self.cens_X @ state.beta) * state.z[self.cens_subj]
+        u = np.maximum(rng.random(idx.size), _TINY)
         with np.errstate(over="ignore"):  # checked below
             level = rates @ self.bound_overlap - np.log1p(-u) / w
             times = inverse_cum_hazard_at(self.cuts, hazard_ladder(self.widths, rates), rates, level)
-        bad = np.flatnonzero(~np.isfinite(times))
-        if bad.size:
-            raise FloatingPointError(f"{self.describe_record(int(idx[bad[0]]))} is not finite")
+        if not np.isfinite(times).all():
+            bad = int(np.flatnonzero(~np.isfinite(times))[0])
+            raise FloatingPointError(f"{self.describe_record(int(idx[bad]))} is not finite")
         state.times[idx] = times
 
     def update_rates(self, state, rng, stats):
@@ -412,7 +413,9 @@ class _FitContext:
         state.rates = np.exp(xi)
 
     def update_z(self, state, rng, a_sum):
-        state.z = rng.gamma(state.eta + self.sub_counts, 1.0 / (state.eta + a_sum))
+        """z_i ~ Gamma(eta + d_i, rate eta + A_i): ``Generator.gamma(k, theta)`` draws theta
+        * standard_gamma(k) element by element, so this is its stream without the two-array path."""
+        state.z = rng.standard_gamma(state.eta + self.sub_counts) * (1.0 / (state.eta + a_sum))
 
     def update_eta(self, state, rng, expb, cumhaz):
         """Collapsed (eta, z) block: eta from its z-marginal, then z | eta.
@@ -565,16 +568,16 @@ class _ChainSource:
     """A chain's generator, with scalar uniforms handed out of blocks.
 
     ``random()`` returns the next double of a block drawn with
-    ``gen.random(_UNIFORM_BLOCK)``; ``random(size)`` and ``gamma`` draw from
-    the generator itself.  The sweep's blocks take this or a plain
-    ``Generator``.
+    ``gen.random(_UNIFORM_BLOCK)``; ``random(size)`` and ``standard_gamma``
+    (the frailty draw's unit-scale Gamma) draw from the generator itself.
+    The sweep's blocks take this or a plain ``Generator``.
     """
 
-    __slots__ = ("gen", "gamma", "_next")
+    __slots__ = ("gen", "standard_gamma", "_next")
 
     def __init__(self, gen: np.random.Generator):
         self.gen = gen
-        self.gamma = gen.gamma
+        self.standard_gamma = gen.standard_gamma
         blocks = iter(lambda: gen.random(_UNIFORM_BLOCK).tolist(), None)
         self._next = itertools.chain.from_iterable(blocks).__next__
 

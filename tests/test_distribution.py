@@ -351,6 +351,14 @@ def test_inverse_cum_hazard_rejects_negative_levels():
             pe.inverse_cum_hazard(bad)
 
 
+def test_level_zero_after_leading_zero_rates_is_the_origin():
+    # H is 0 on (0, 2]: the smallest t with H(t) >= 0 is the plateau's left end
+    pe = PiecewiseExponential([0.0, 1.0, 2.0], [0.0, 0.0, 1.0])
+    assert pe.inverse_cum_hazard(0.0) == 0.0
+    np.testing.assert_array_equal(pe.inverse_cum_hazard([0.0, 0.5, 0.0]), [0.0, 2.5, 0.0])
+    assert PiecewiseExponential([0.0, 1.0], [0.0, 1.0]).inverse_cum_hazard(0.0) == 0.0
+
+
 def _random_case(rng):
     m = int(rng.integers(1, 8))
     cuts = np.concatenate(([0.0], np.sort(rng.uniform(0.1, 12.0, m - 1))))

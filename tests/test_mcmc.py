@@ -284,6 +284,22 @@ def test_frailty_update_prior_limit():
     assert res.pvalue > 0.001
 
 
+@pytest.mark.parametrize("family", [FAMILY_GAMMA_CHAIN, FAMILY_LOGNORMAL_RW])
+def test_frailty_draw_is_numpys_two_array_gamma_draw(family):
+    # update_z draws standard_gamma(k) * theta; numpy's gamma(k, theta) is the
+    # same product element by element, so the two streams agree bit for bit.
+    kidney = load_kidney()
+    spec = ModelSpec(family, KIDNEY_GRID)
+    ctx = mcmc._FitContext(spec, kidney, augmented=True)
+    state = initial_state(spec, kidney)
+    a_sum = np.random.default_rng(3).uniform(1e-3, 50.0, ctx.n_sub)
+    for seed, eta in ((0, 0.01), (24, 1.7), (2**40, 300.0)):
+        state.eta = eta
+        ctx.update_z(state, np.random.default_rng(seed), a_sum)
+        expected = np.random.default_rng(seed).gamma(eta + ctx.sub_counts, 1.0 / (eta + a_sum))
+        assert state.z.tobytes() == expected.tobytes()
+
+
 def test_frailty_fixed_at_one_reproduces_simple_path():
     data = _uncensored_dataset(S1, 60, 3)
     frail = ModelSpec(FAMILY_GAMMA_CHAIN, GRID4)
@@ -955,7 +971,7 @@ def test_chain_source_hands_out_scalar_uniforms_in_blocks():
     blocks = ref.random(256).tolist() + ref.random(256).tolist()
     assert scalars == blocks[:300]
     assert np.array_equal(sized, ref.random(3))
-    assert source.gamma(2.0) == ref.gamma(2.0)
+    assert source.standard_gamma(2.0) == ref.standard_gamma(2.0)
     assert source.random() == blocks[300]
 
 

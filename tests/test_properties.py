@@ -5,7 +5,8 @@ exposure rows sum to the times, ``(d, R)`` account for every event and every
 unit of exposure, quantiles invert the CDF, and the zeros-trick likelihood
 differs from the direct one by a constant free of the parameters.  They
 also pin the sampler's trusted ladder and inverse of H to the validated
-``PiecewiseExponential`` methods, bit for bit, the parameter check to the
+``PiecewiseExponential`` methods, bit for bit, the inverse to a per-level
+scan over the intervals, errors included, the parameter check to the
 constructor's refusals, and every distribution method, on parameters from
 the smallest subnormal to 1e300, to a result free of warnings and NaN.
 """
@@ -166,6 +167,47 @@ def test_trusted_evaluators_equal_the_distribution_methods(grid, draw, ts, zero_
             pe.inverse_cum_hazard(past)
         with pytest.raises(UnreachableMassError, match="saturates"):
             inverse_cum_hazard_at(cuts, cum, rates, past)
+
+
+def _scan_inverse(cuts, cum, rates, levels):
+    """Smallest t with H(t) >= w for levels w > 0, one level at a time: scan the
+    intervals in order for the first on which H climbs and whose end reaches w."""
+    if not rates.any():
+        raise UnreachableMassError("all rates are zero; the distribution has no mass")
+    m = len(rates)
+    out = []
+    for w in levels:
+        for j in range(m):
+            end = cum[j + 1] if j + 1 < m else np.inf
+            if rates[j] > 0 and end >= w:
+                break
+        else:
+            raise UnreachableMassError(
+                f"cumulative hazard saturates at {float(cum[-1]):g}; requested level unreachable"
+            )
+        out.append(cuts[j] + (w - cum[j]) / rates[j])
+    return np.array(out)
+
+
+@SETTINGS
+@given(grid=grids, draw=st.data(), zero_tail=st.booleans())
+def test_inverse_equals_a_per_level_scan(grid, draw, zero_tail):
+    rates = _rates(draw.draw, grid, rate)  # zero interior rates included
+    if zero_tail:
+        rates[-1] = 0.0
+    cuts = np.array(grid.cut_points)
+    cum = hazard_ladder(np.diff(cuts), rates)
+    extra = draw.draw(st.lists(st.floats(0.0, 100.0), max_size=5))
+    levels = np.concatenate((cum, np.nextafter(cum, np.inf), extra, [np.inf]))
+    # each level alone, then all at once (one level past the supremum fails the lot)
+    for w in [*levels[levels > 0, None], levels[levels > 0]]:
+        try:
+            expected = _scan_inverse(cuts, cum, rates, w)
+        except UnreachableMassError as exc:
+            with pytest.raises(UnreachableMassError, match=re.escape(str(exc))):
+                inverse_cum_hazard_at(cuts, cum, rates, w)
+        else:
+            assert inverse_cum_hazard_at(cuts, cum, rates, w).tobytes() == expected.tobytes()
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
