@@ -51,6 +51,8 @@ __all__ = [
     "inverse_cum_hazard_at",
 ]
 
+_TINY = np.nextafter(0.0, 1.0)  # the smallest positive double
+
 
 class InvalidParamsError(ValueError):
     """A grid / rate pair failed validation.
@@ -147,9 +149,7 @@ def _prep_times(t):
 
 def hazard_ladder(widths, rates) -> np.ndarray:
     """H at each cut point, from ``widths = np.diff(cut_points)``."""
-    out = np.zeros(len(rates))
-    np.cumsum(rates[:-1] * widths, out=out[1:])
-    return out
+    return np.concatenate(([0.0], np.cumsum(rates[:-1] * widths)))
 
 
 def inverse_cum_hazard_at(cuts, cum, rates, w):
@@ -158,7 +158,8 @@ def inverse_cum_hazard_at(cuts, cum, rates, w):
     One lookup finds, for each level, the first interval j whose end
     reaches it.  For w > 0 its start lies below w (H(a_j) < w), so H climbs
     on it and its rate is positive; flat stretches are never chosen.  Level
-    0 reads t = 0.0, which a leading zero rate would make 0/0.  Raises
+    0 reads t = 0.0, which a leading zero rate would make 0/0; a NaN level
+    reads NaN, so callers can test the result for finiteness.  Raises
     :class:`UnreachableMassError` when every rate is zero and for levels
     above the supremum of H (zero-rate tail).
     """
@@ -170,11 +171,8 @@ def inverse_cum_hazard_at(cuts, cum, rates, w):
                 f"cumulative hazard saturates at {float(cum[-1]):g}; requested level unreachable"
             )
     j = np.searchsorted(cum[1:], w, side="left")
-    rise = w - cum[j]
-    if rates[0] > 0:
-        return cuts[j] + rise / rates[j]
-    # only level 0 meets a zero rate here (j = 0, rise = 0): it keeps t = 0.0
-    return cuts[j] + np.divide(rise, rates[j], out=np.zeros_like(rise), where=rise > 0)
+    # the floor changes no positive rate; level 0 (j = 0, w - cum[0] = 0) reads 0 / _TINY
+    return cuts[j] + (w - cum[j]) / np.maximum(rates[j], _TINY)
 
 
 @dataclass(frozen=True)
@@ -387,11 +385,12 @@ class PiecewiseExponential:
                 raise UnreachableMassError("no probability mass inside the requested bounds")
 
         u = rng.uniform(size=size)
-        u = np.maximum(u, np.nextafter(0.0, 1.0))  # open at the lower endpoint
         # inverse CDF of Exp(1) truncated to (0, span]
         if np.isinf(span):
             excess = -np.log1p(-u)
         else:
             excess = -np.log1p(u * np.expm1(-span))
+        # open at the lower endpoint: a zero excess would invert level 0 to t = 0
+        excess = np.maximum(excess, _TINY)
         out = self._invert(h_lo + excess)
         return float(out) if size is None else out

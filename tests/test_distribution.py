@@ -10,6 +10,8 @@ from pexsurv.distribution import (
     PiecewiseExponential,
     TimeGrid,
     UnreachableMassError,
+    hazard_ladder,
+    inverse_cum_hazard_at,
     validate_params,
 )
 
@@ -357,6 +359,25 @@ def test_level_zero_after_leading_zero_rates_is_the_origin():
     assert pe.inverse_cum_hazard(0.0) == 0.0
     np.testing.assert_array_equal(pe.inverse_cum_hazard([0.0, 0.5, 0.0]), [0.0, 2.5, 0.0])
     assert PiecewiseExponential([0.0, 1.0], [0.0, 1.0]).inverse_cum_hazard(0.0) == 0.0
+    # a NaN level stays NaN, not the plateau's end, so mcmc.impute's finiteness check sees it
+    cuts, rates = np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.0, 1.0])
+    cum = hazard_ladder(np.diff(cuts), rates)
+    out = inverse_cum_hazard_at(cuts, cum, rates, np.array([np.nan, 0.0, 0.5]))
+    np.testing.assert_array_equal(out, [np.nan, 0.0, 2.5])
+
+
+class _ZeroUniform:
+    def uniform(self, size=None):
+        return 0.0 if size is None else np.zeros(size)
+
+
+def test_truncated_sample_stays_above_the_lower_bound_on_a_zero_uniform():
+    # H(lower) = 0 on the leading plateau; a zero uniform must not invert to t = 0
+    pe = PiecewiseExponential([0.0, 1.0, 2.0], [0.0, 0.0, 1.0])
+    for upper in (2.5, None):
+        assert pe.sample(rng=_ZeroUniform(), lower=0.5, upper=upper) == 2.0
+        draws = pe.sample(3, rng=_ZeroUniform(), lower=0.5, upper=upper)
+        np.testing.assert_array_equal(draws, [2.0] * 3)
 
 
 def _random_case(rng):
