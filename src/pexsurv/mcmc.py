@@ -37,9 +37,13 @@ calling process.
 
 Inputs are validated once, by the public constructors (``TimeGrid``,
 ``PiecewiseExponential``, ``SurvivalRecord``, ``ModelSpec``); the sweep then
-builds no distribution object.  It reads H as the rates times interval
-overlaps, and only imputation's inverse draw reads the ladder of the rates,
-through the plain functions of :mod:`pexsurv.distribution`.
+builds no distribution object.  A frailty chain takes the interval overlaps
+E of its working times and the counts d once, from one ``sufficient_stats``
+call at its initial state; every sweep reads R = E (z e^{X beta}) and
+H = lambda E from them.  Only imputation moves a working time, and it
+rewrites the moved records' overlaps and counts; only its inverse draw reads
+the ladder of the rates, through the plain functions of
+:mod:`pexsurv.distribution`.
 
 Scalar slice sampling follows the stepping-out / shrinkage scheme: the
 bracket grows by its width up to 50 total expansions (an exceeded cap simply
@@ -251,8 +255,9 @@ class _FitContext:
 
     ``augmented`` is the likelihood mode (``McmcConfig.impute``).  Grid, data
     and specification were validated by their constructors.  H is the rates
-    times interval overlaps: the sweep's ``sufficient_stats`` at the working
-    times, ``bound_overlap`` at the censoring bounds, which never move;
+    times interval overlaps: ``overlap``, the interval-major (m, n) E at the
+    working times that ``track`` caches once per chain and ``impute`` keeps
+    current, and ``bound_overlap`` at the censoring bounds, which never move;
     imputation inverts H on the ladder over the grid's ``cuts``.
     """
 
@@ -321,6 +326,24 @@ class _FitContext:
         self.slice_widths = [1.0] * len(self.slice_names)
         self.jump_sums = [0.0] * len(self.slice_names)
 
+    def track(self, state):
+        """Cache the interval overlaps E and the counts d of ``state``'s working times.
+
+        One ``sufficient_stats`` call gives them, at the chain's initial
+        state.  No event time and no censoring bound ever moves, so only
+        ``impute`` rewrites them: the columns and counts of the censored
+        records, as it moves their times.
+        """
+        stats = sufficient_stats(state, self.spec, self.data, augmented=self.augmented)
+        self.overlap, self.d = stats.overlap, stats.d
+        if self.augmented:  # the counts of the records whose times never move
+            cens_last = self.last_interval(state.times[self.cens_idx])
+            self.fixed_d = stats.d - np.bincount(cens_last, minlength=self.m)
+
+    def last_interval(self, times):
+        """0-based index of the last interval each time overlaps, as ``sufficient_stats`` counts it."""
+        return np.searchsorted(self.cuts, times, "left") - 1
+
     def freeze_widths(self, sweeps):
         """Set each slice width from its mean jump over ``sweeps`` burn-in sweeps.
 
@@ -346,8 +369,9 @@ class _FitContext:
         """Baseline cumulative hazard of every record at its working time.
 
         H is ``rates @ overlap``, ``overlap`` the working times' interval
-        overlaps (``SufficientStats.overlap``), so the rate of an interval
-        that no record reaches meets only zeros.  A value that is not finite
+        overlaps (the sweep's cached E, laid out as
+        ``SufficientStats.overlap``), so the rate of an interval that no
+        record reaches meets only zeros.  A value that is not finite
         aborts the sweep with an error that names the record.
         """
         with np.errstate(over="ignore"):  # checked below
@@ -383,15 +407,18 @@ class _FitContext:
             bad = int(np.flatnonzero(~np.isfinite(times))[0])
             raise FloatingPointError(f"{self.describe_record(int(idx[bad]))} is not finite")
         state.times[idx] = times
+        self.overlap[:, idx] = self.spec.grid.exposures(times).T
+        self.d = self.fixed_d + np.bincount(self.last_interval(times), minlength=self.m)
 
-    def update_rates(self, state, rng, stats):
+    def update_rates(self, state, rng, d, risk):
         # Each rate is sliced on x = log lambda_j (xi_j for the random walk),
-        # with x_0 = 0 before the first: its likelihood d_j x - R_j e^x, (d, R)
-        # from ``stats``, the link from the rate before and, but for the last
-        # rate, the link to the rate after.  The targets do plain float
-        # arithmetic on d, R and the log-rates, taken out of numpy once per
-        # block, and read -inf where e^x would not be a positive, finite double.
-        d, risk = stats.d.tolist(), stats.exposure.tolist()
+        # with x_0 = 0 before the first: its likelihood d_j x - R_j e^x, with
+        # the counts d and the exposures R, the link from the rate before and,
+        # but for the last rate, the link to the rate after.  The targets do
+        # plain float arithmetic on d, R and the log-rates, taken out of numpy
+        # once per block, and read -inf where e^x would not be a positive,
+        # finite double.
+        d, risk = d.tolist(), risk.tolist()
         widths, jumps = self.slice_widths, self.jump_sums
         link = self.link
         xi = np.log(state.rates).tolist()
@@ -538,15 +565,16 @@ class _FitContext:
     # -- full sweep and monitoring -----------------------------------------
 
     def sweep(self, state, rng):
+        """One Gibbs sweep; ``track`` has cached the state's exposures."""
         if self.augmented and self.cens_idx.size:
             self.impute(state, rng)
-        # no working time moves after imputation: (d, R) and H share overlaps
-        stats = sufficient_stats(state, self.spec, self.data, augmented=self.augmented)
-        self.update_rates(state, rng, stats)
-        # beta and the rates are fixed until update_scale; the rescale leaves
-        # each record's weight z e^{x' beta} H as it is.
+        # No working time moves after imputation, and beta is fixed until
+        # update_beta: R = E (z e^{X beta}) and H = lambda E share the
+        # overlaps E, and the rescale leaves each record's weight
+        # z e^{x' beta} H as it is.
         expb = np.exp(self.X @ state.beta)
-        cumhaz = self.cum_hazard(state.rates, stats.overlap)
+        self.update_rates(state, rng, self.d, self.overlap @ (expb * state.z[self.subj]))
+        cumhaz = self.cum_hazard(state.rates, self.overlap)
         self.update_eta(state, rng, expb, cumhaz)
         weight = state.z[self.subj] * expb * cumhaz
         self.update_scale(state, rng)
@@ -607,6 +635,7 @@ def run_chain(
     kept = config.n_iter // config.thin
     start = time.perf_counter()
     ctx = _FitContext(spec, data, config.impute)
+    ctx.track(state)
     buf, row = np.empty((kept, len(ctx.monitor_names))), 0
     for it in range(config.burn_in + config.n_iter):
         if it == config.burn_in:

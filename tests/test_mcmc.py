@@ -202,6 +202,13 @@ def _stats(ctx, state):
     return sufficient_stats(state, ctx.spec, ctx.data, augmented=ctx.augmented)
 
 
+def _tracked(spec, data, augmented, state):
+    """A fit context that caches the exposures of ``state``, as ``run_chain`` builds it."""
+    ctx = mcmc._FitContext(spec, data, augmented)
+    ctx.track(state)
+    return ctx
+
+
 def _record_weights(ctx, state):
     """Each record's z e^{x' beta} H at the state, as the sweep hands them on."""
     cumhaz = ctx.cum_hazard(state.rates, _stats(ctx, state).overlap)
@@ -373,7 +380,8 @@ def test_frailty_rate_target_is_the_joint_along_its_log_rate(monkeypatch, family
     kidney, state = _kidney_state(spec, np.random.default_rng(73))
     targets = _captured_targets(monkeypatch)
     ctx = mcmc._FitContext(spec, kidney, augmented)
-    ctx.update_rates(state, np.random.default_rng(0), _stats(ctx, state))
+    st = _stats(ctx, state)
+    ctx.update_rates(state, np.random.default_rng(0), st.d, st.exposure)
     assert len(targets) == spec.grid.m
     for j in (0, 4, 9):
         x0 = np.log(state.rates[j])
@@ -467,7 +475,7 @@ def test_frailty_underflowed_to_zero_passes_the_rescale(family):
     kidney, state = _kidney_state(spec, np.random.default_rng(72))
     state.z[3] = 0.0
     state.z[5] = 3e-309  # subnormal
-    ctx = mcmc._FitContext(spec, kidney, augmented=True)
+    ctx = _tracked(spec, kidney, True, state)
     rng = mcmc._ChainSource(np.random.default_rng(6))
     for _ in range(50):
         ctx.update_scale(state, rng)
@@ -527,7 +535,8 @@ def test_targets_read_minus_inf_where_a_rate_would_leave_the_doubles(monkeypatch
     state.rates[-2:] = (1e-315, 1e-320)
     targets = _captured_targets(monkeypatch)
     ctx = mcmc._FitContext(spec, kidney, augmented=True)
-    ctx.update_rates(state, np.random.default_rng(0), _stats(ctx, state))
+    st = _stats(ctx, state)
+    ctx.update_rates(state, np.random.default_rng(0), st.d, st.exposure)
     ctx.update_beta(state, np.random.default_rng(0), _record_weights(ctx, state))
     *rate_targets, _, age = targets
     # finite at the current point, even where 1 / lambda_{j-1} overflows;
@@ -612,7 +621,7 @@ def test_imputed_values_exceed_censor_times():
     data = _partially_censored_dataset(S1, 200, 4)
     spec = ModelSpec(FAMILY_GAMMA_CHAIN, GRID4)
     state = initial_state(spec, data)
-    mcmc._FitContext(spec, data, augmented=True).impute(state, np.random.default_rng(1))
+    _tracked(spec, data, True, state).impute(state, np.random.default_rng(1))
     cens = ~data.event_flags
     assert np.all(state.times[cens] > data.marginal_times[cens])
     assert np.all(state.times[~cens] == data.marginal_times[~cens])
@@ -625,7 +634,7 @@ def test_imputation_memoryless_under_constant_rates():
     spec = ModelSpec(FAMILY_GAMMA_CHAIN, GRID4)
     state = initial_state(spec, data)
     state.rates = np.full(4, c)
-    mcmc._FitContext(spec, data, augmented=True).impute(state, np.random.default_rng(3))
+    _tracked(spec, data, True, state).impute(state, np.random.default_rng(3))
     res = stats.kstest(state.times - 1.5, "expon", args=(0, 1 / c))
     assert res.pvalue > 0.001
 
@@ -634,7 +643,7 @@ def test_imputation_beyond_last_cut_is_finite():
     data = SurvivalDataset([SurvivalRecord(1, 1, None, 0, 50.0)])
     spec = ModelSpec(FAMILY_GAMMA_CHAIN, GRID4)
     state = initial_state(spec, data)
-    mcmc._FitContext(spec, data, augmented=True).impute(state, np.random.default_rng(23))
+    _tracked(spec, data, True, state).impute(state, np.random.default_rng(23))
     assert np.isfinite(state.times[0]) and state.times[0] > 50.0
 
 
@@ -836,20 +845,21 @@ def test_simple_draws_depend_on_burn_in_and_thin_only_through_their_count():
         (FAMILY_SIMPLE, _uncensored_dataset(S1, 60, 33)),
         (FAMILY_SIMPLE, _partially_censored_dataset(S1, 60, 34)),
         (FAMILY_GAMMA_CHAIN, _uncensored_dataset(S1, 60, 35)),
+        (FAMILY_GAMMA_CHAIN, _partially_censored_dataset(S1, 60, 36)),
     ],
-    ids=["simple-fixed-times", "simple-imputing", "gamma-chain"],
+    ids=["simple-fixed-times", "simple-imputing", "gamma-chain", "gamma-chain-imputing"],
 )
 def test_sufficient_stats_calls_per_fit(monkeypatch, family, data):
-    # The simple chain takes (d, R) once, censored or not, with the default
-    # impute=True; a frailty chain once per sweep.
+    # Every chain calls it once, censored or not, with the default
+    # impute=True: the simple chain for its (d, R), a frailty chain for the
+    # exposures and counts that its sweeps keep current.
     calls = _count_sufficient_stats(monkeypatch)
     cfg = McmcConfig(n_chains=2, burn_in=4, n_iter=6, seed=3)
     # run_chain per id: run_chains runs a frailty fit's later chains in worker
     # processes, whose calls this process does not see.
     for c in range(1, cfg.n_chains + 1):
         run_chain(ModelSpec(family, GRID4), data, cfg, chain_id=c)
-    sweeps = cfg.burn_in + cfg.n_iter
-    assert len(calls) == cfg.n_chains * (1 if family == FAMILY_SIMPLE else sweeps)
+    assert len(calls) == cfg.n_chains
 
 
 def _count_sufficient_stats(monkeypatch):
@@ -1346,7 +1356,7 @@ def _assert_one_sweep_invariant(family, impute, covariate, width=1.0):
             ("x",),
         )
         state = ParamState(rates=rates, beta=beta, z=z, eta=eta, times=times)
-        ctx = mcmc._FitContext(spec, data, impute)
+        ctx = _tracked(spec, data, impute, state)
         ctx.slice_widths = [width] * len(ctx.slice_widths)
         ctx.sweep(state, mcmc._ChainSource(chain_rng(rep, 1)))
         swept.append(dict(zip(ctx.monitor_names, ctx.monitor_values(state)), z1=state.z[0]))
