@@ -307,6 +307,26 @@ def test_frailty_draw_is_numpys_two_array_gamma_draw(family):
         assert state.z.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("family", [FAMILY_GAMMA_CHAIN, FAMILY_LOGNORMAL_RW])
+def test_frailty_draw_takes_one_gamma_call_per_count_group(family):
+    # Scoring only events, kidney's subjects have 0, 1 or 2 density records;
+    # each group, in ascending order of its count, is one scalar-shape draw.
+    kidney = load_kidney()
+    spec = ModelSpec(family, KIDNEY_GRID)
+    ctx = mcmc._FitContext(spec, kidney, augmented=False)
+    state = initial_state(spec, kidney)
+    a_sum = np.random.default_rng(4).uniform(1e-3, 50.0, ctx.n_sub)
+    groups = [np.flatnonzero(ctx.sub_counts == c) for c in (0.0, 1.0, 2.0)]
+    assert all(g.size for g in groups) and sum(g.size for g in groups) == ctx.n_sub
+    for seed, eta in ((0, 0.01), (25, 1.7), (2**40, 300.0)):
+        state.eta = eta
+        ctx.update_z(state, np.random.default_rng(seed), a_sum)
+        rng = np.random.default_rng(seed)
+        for c, idx in zip((0.0, 1.0, 2.0), groups):
+            expected = rng.standard_gamma(eta + c, idx.size) * (1.0 / (eta + a_sum))[idx]
+            assert state.z[idx].tobytes() == expected.tobytes(), (seed, c)
+
+
 def test_frailty_fixed_at_one_reproduces_simple_path():
     data = _uncensored_dataset(S1, 60, 3)
     frail = ModelSpec(FAMILY_GAMMA_CHAIN, GRID4)
