@@ -496,32 +496,31 @@ class _FitContext:
         sum_i z_i, plus the rate prior's change at the anchor, link(x_1 - s)
         with x_1 = log lambda_1: the move shifts every log-rate alike, so no
         other link changes.  It reads -inf wherever a frailty or a rate would
-        leave the positive, finite doubles; a frailty of 0.0 stays 0.0.
+        leave the positive, finite doubles, as read from the smallest positive
+        frailty, the frailties' sum and the extreme rates.  The move
+        multiplies z by e^s and the rates by e^{-s}, so a frailty of 0.0 stays
+        0.0.
         """
         eta, n, link = state.eta, self.n_sub, self.link
-        with np.errstate(divide="ignore"):  # log 0.0 = -inf, and e^{-inf + s} = 0.0
-            logz = np.log(state.z)
-        lz = logz.tolist()
-        lz_lo, lz_hi = min(lz), max(lz)
-        if lz_lo == -math.inf:
-            lz_lo = min((v for v in lz if v > -math.inf), default=math.inf)
-        z_sum = math.fsum(state.z.tolist())
+        zl = state.z.tolist()
+        z_lo, z_sum = min(zl), math.fsum(zl)
+        if z_lo == 0.0:
+            z_lo = min((v for v in zl if v > 0.0), default=math.inf)
         log_z_sum = math.log(z_sum) if z_sum > 0.0 else -math.inf
-        xi = np.log(state.rates)
-        xl = xi.tolist()
-        x1 = xl[0]
-        s_lo = max(_LOG_MIN - lz_lo, max(xl) - _LOG_MAX)
-        s_hi = min(_LOG_MAX - lz_hi, min(xl) - _LOG_MIN)
+        rl = state.rates.tolist()
+        x1 = math.log(rl[0])
+        s_lo = max(_LOG_MIN - math.log(z_lo), math.log(max(rl)) - _LOG_MAX)
+        s_hi = min(_LOG_MAX - log_z_sum, math.log(min(rl)) - _LOG_MIN)
 
         def logf(s):
-            if not s_lo <= s <= s_hi or s + log_z_sum > _LOG_MAX:
+            if not s_lo <= s <= s_hi:
                 return -math.inf
             return eta * n * s - eta * math.exp(s + log_z_sum) + link(x1 - s)
 
         s1 = update_scalar_slice(logf, 0.0, rng, width=self.slice_widths[-1])
         self.jump_sums[-1] += abs(s1)
-        state.z = np.exp(logz + s1)
-        state.rates = np.exp(xi - s1)
+        state.z = state.z * math.exp(s1)
+        state.rates = state.rates * math.exp(-s1)
 
     def update_beta(self, state, rng, weight):
         """Centred move per covariate: (beta_k + delta, log lambda - delta xbar_k).
@@ -530,6 +529,7 @@ class _FitContext:
         target is in (beta, log lambda) coordinates, so it carries the rate
         prior's change at the anchor, the link of log lambda_1 (or xi_1).
         ``weight`` is each record's z e^{x' beta} H at the current state.
+        The rates are then multiplied by e^{-sum_k delta_k xbar_k} at once.
         """
         if not self.p:
             return
@@ -538,8 +538,8 @@ class _FitContext:
         # The move scales each weight by e^{delta (x_ik - xbar_k)}.
         beta = state.beta.tolist()
         # Every move shifts all log-rates alike; `moved` is their total shift.
-        xi = np.log(state.rates)
-        xi1, xi_lo, xi_hi = float(xi[0]), float(xi.min()), float(xi.max())
+        rl = state.rates.tolist()
+        xi1, xi_lo, xi_hi = math.log(rl[0]), math.log(min(rl)), math.log(max(rl))
         moved = 0.0
         for k in range(self.p):
             xc, xbar = self.centred[k][:2]
@@ -574,7 +574,7 @@ class _FitContext:
             moved -= delta * xbar
             weight = weight * np.exp(delta * xc)
         state.beta = np.array(beta)
-        state.rates = np.exp(xi + moved)
+        state.rates = state.rates * math.exp(moved)
 
     # -- full sweep and monitoring -----------------------------------------
 
