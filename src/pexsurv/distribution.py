@@ -393,4 +393,11 @@ class PiecewiseExponential:
         # open at the lower endpoint: a zero excess would invert level 0 to t = 0
         excess = np.maximum(excess, _TINY)
         out = self._invert(h_lo + excess)
+        if lower:
+            # h_lo + excess rounds to h_lo when the excess is below half an
+            # ulp of it, and that level inverts to lower or to the left end of
+            # the flat stretch of H around it; such a draw goes just above
+            # lower, or to the stretch's right end, where H climbs again.
+            climb = self.cuts[np.searchsorted(self._cum, h_lo, side="right") - 1]
+            out = np.maximum(out, max(np.nextafter(lower, np.inf), climb))
         return float(out) if size is None else out

@@ -17,11 +17,13 @@ imputed censored times, the rates (slice sampled), and three more blocks:
 
 * (eta, z), partially collapsed: eta is sliced on the log scale with the
   frailties integrated out, then every frailty takes its exact Gamma draw
-  given the new eta (van Dyk & Park 2008);
+  given the new eta (van Dyk & Park 2008), one numpy call for each group of
+  subjects with the same number of density records;
 * one rescale of the frailties against the baseline rates, sliced on
   s = log c along (e^s z, log lambda - s), which leaves every z_i lambda_j
   and so the likelihood unchanged: a group move (Liu & Sabatti 2000) that
-  interweaves the frailty scale with the rates (Yu & Meng 2011);
+  interweaves the frailty scale with the rates (Yu & Meng 2011), applied
+  as the products e^s z and e^{-s} lambda;
 * one centred slice move per coefficient, along
   (beta_k + delta, log lambda - delta * xbar_k) with xbar_k the column mean
   of the design matrix, so the hazard changes only through x_k - xbar_k.

@@ -366,18 +366,36 @@ def test_level_zero_after_leading_zero_rates_is_the_origin():
     np.testing.assert_array_equal(out, [np.nan, 0.0, 2.5])
 
 
-class _ZeroUniform:
+class _ConstantUniform:
+    def __init__(self, u):
+        self.u = u
+
     def uniform(self, size=None):
-        return 0.0 if size is None else np.zeros(size)
+        return self.u if size is None else np.full(size, self.u)
 
 
 def test_truncated_sample_stays_above_the_lower_bound_on_a_zero_uniform():
     # H(lower) = 0 on the leading plateau; a zero uniform must not invert to t = 0
     pe = PiecewiseExponential([0.0, 1.0, 2.0], [0.0, 0.0, 1.0])
     for upper in (2.5, None):
-        assert pe.sample(rng=_ZeroUniform(), lower=0.5, upper=upper) == 2.0
-        draws = pe.sample(3, rng=_ZeroUniform(), lower=0.5, upper=upper)
+        assert pe.sample(rng=_ConstantUniform(0.0), lower=0.5, upper=upper) == 2.0
+        draws = pe.sample(3, rng=_ConstantUniform(0.0), lower=0.5, upper=upper)
         np.testing.assert_array_equal(draws, [2.0] * 3)
+
+
+@pytest.mark.parametrize("u", [1e-17, 0.0])
+def test_truncated_sample_stays_inside_the_bounds_when_the_excess_rounds_away(u):
+    # The excess is below half an ulp of H(lower), so H(lower) + excess is
+    # H(lower), whose inverse is lower itself or the left end of the flat
+    # stretch around it; the draw must still lie in (lower, upper].
+    flat = PiecewiseExponential([0.0, 1.0, 2.0], [1.0, 0.0, 1.0])  # H is 1 on [1, 2]
+    np.testing.assert_array_equal(
+        flat.sample(3, rng=_ConstantUniform(u), lower=1.5, upper=2.5), [2.0] * 3
+    )
+    climbing = PiecewiseExponential([0.0, 1.0], [1.0, 1.0])
+    above = np.nextafter(0.7, np.inf)
+    np.testing.assert_array_equal(climbing.sample(3, rng=_ConstantUniform(u), lower=0.7), [above] * 3)
+    assert climbing.sample(rng=_ConstantUniform(u), lower=0.7, upper=0.9) == above
 
 
 def _random_case(rng):

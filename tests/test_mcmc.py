@@ -882,6 +882,42 @@ def test_sufficient_stats_calls_per_fit(monkeypatch, family, data):
     assert len(calls) == cfg.n_chains
 
 
+@pytest.mark.parametrize("impute", [True, False], ids=["imputing", "analytic"])
+@pytest.mark.parametrize("family", [FAMILY_GAMMA_CHAIN, FAMILY_LOGNORMAL_RW])
+def test_cached_exposures_and_counts_never_go_stale(monkeypatch, family, impute):
+    # 12 subjects with 1 to 3 records each, a third of them censored: after
+    # every sweep the context's E and d, and the R the rate block read, are
+    # those of a fresh sufficient_stats call at the state, bit for bit.
+    rng = np.random.default_rng(27)
+    records = []
+    for s in range(1, 13):
+        for r in range(1, s % 3 + 2):
+            t, x = float(rng.uniform(0.2, 6.0)), (float(rng.normal()),)
+            censored = rng.random() < 1 / 3
+            records.append(SurvivalRecord(s, r, None if censored else t, int(not censored), t, x))
+    data = SurvivalDataset(records, ("x",))
+    spec = ModelSpec(family, GRID4)
+    seen = []
+    real = mcmc._FitContext.update_rates
+
+    def spying(self, state, rng, d, risk):
+        fresh = sufficient_stats(state, self.spec, self.data, augmented=self.augmented)
+        seen.append(fresh.exposure.tobytes() == risk.tobytes() and fresh.d.tobytes() == d.tobytes())
+        return real(self, state, rng, d, risk)
+
+    monkeypatch.setattr(mcmc._FitContext, "update_rates", spying)
+    state = initial_state(spec, data)
+    ctx = _tracked(spec, data, impute, state)
+    source = mcmc._ChainSource(chain_rng(8, 1))
+    for _ in range(20):
+        ctx.sweep(state, source)
+        fresh = sufficient_stats(state, spec, data, augmented=impute)
+        assert ctx.overlap.tobytes() == fresh.overlap.tobytes()
+        assert ctx.d.tobytes() == fresh.d.tobytes()
+    assert seen == [True] * 20
+    assert len(set(np.bincount(data.subject_positions))) == 3 and (~data.event_flags).any()
+
+
 def _count_sufficient_stats(monkeypatch):
     """The calls to ``mcmc.sufficient_stats`` from now on, one entry each."""
     calls = []
