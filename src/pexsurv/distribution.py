@@ -394,10 +394,9 @@ class PiecewiseExponential:
         excess = np.maximum(excess, _TINY)
         out = self._invert(h_lo + excess)
         if lower:
-            # h_lo + excess rounds to h_lo when the excess is below half an
-            # ulp of it, and that level inverts to lower or to the left end of
-            # the flat stretch of H around it; such a draw goes just above
-            # lower, or to the stretch's right end, where H climbs again.
+            # An excess below half an ulp of h_lo inverts to lower, or to the
+            # left end of a flat stretch of H around it: lift it to where H
+            # climbs above lower.
             climb = self.cuts[np.searchsorted(self._cum, h_lo, side="right") - 1]
             out = np.maximum(out, max(np.nextafter(lower, np.inf), climb))
         return float(out) if size is None else out

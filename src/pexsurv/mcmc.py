@@ -348,7 +348,7 @@ class _FitContext:
             self.fixed_d = stats.d - np.bincount(cens_last, minlength=self.m)
 
     def last_interval(self, times):
-        """0-based index of the last interval each time overlaps, as ``sufficient_stats`` counts it."""
+        """0-based index of the last interval each time overlaps, as ``sufficient_stats`` counts."""
         return np.searchsorted(self.cuts, times, "left") - 1
 
     def freeze_widths(self, sweeps):

@@ -394,7 +394,8 @@ def test_truncated_sample_stays_inside_the_bounds_when_the_excess_rounds_away(u)
     )
     climbing = PiecewiseExponential([0.0, 1.0], [1.0, 1.0])
     above = np.nextafter(0.7, np.inf)
-    np.testing.assert_array_equal(climbing.sample(3, rng=_ConstantUniform(u), lower=0.7), [above] * 3)
+    draws = climbing.sample(3, rng=_ConstantUniform(u), lower=0.7)
+    np.testing.assert_array_equal(draws, [above] * 3)
     assert climbing.sample(rng=_ConstantUniform(u), lower=0.7, upper=0.9) == above
 
 
