@@ -13,8 +13,8 @@ import io
 import math
 from dataclasses import dataclass
 from importlib import resources
-from itertools import chain, repeat
-from operator import index, sub
+from itertools import chain
+from operator import index
 
 import numpy as np
 
@@ -112,17 +112,20 @@ class SurvivalDataset:
         for i, name in enumerate(self.covariate_names):
             if name in self.covariate_names[:i]:
                 raise DataFormatError(f"covariate name {name!r} is repeated")
-        covariates = [r.covariates for r in records]
-        wrong_arity = np.fromiter(map(len, covariates), np.intp, n) != p
+        # Each array below is one streaming pass over the records: no
+        # per-record list is built, so construction holds little more than
+        # what the dataset keeps.
+        wrong_arity = np.fromiter((len(r.covariates) for r in records), np.intp, n) != p
         if wrong_arity.any():
             i = int(np.argmax(wrong_arity))
-            raise DataFormatError(f"record {i} has {len(covariates[i])} covariates, expected {p}")
+            raise DataFormatError(
+                f"record {i} has {len(records[i].covariates)} covariates, expected {p}"
+            )
         # TypeError for a non-integer id; as Python ints, the differences
         # below cannot wrap around
-        subject_ids = [index(r.subject_id) for r in records]
-        base = min(subject_ids, default=0)
+        base = min((index(r.subject_id) for r in records), default=0)
         try:
-            positions = np.fromiter(map(sub, subject_ids, repeat(base)), np.intp, n)
+            positions = np.fromiter((index(r.subject_id) - base for r in records), np.intp, n)
         except OverflowError:  # a gap wider than intp
             raise DataFormatError(_NOT_CONTIGUOUS) from None
         # with every position below n, count the records of each subject: the
@@ -133,35 +136,39 @@ class SurvivalDataset:
         if not sizes.all():
             raise DataFormatError(_NOT_CONTIGUOUS)
         self.n_subjects: int = sizes.size
+        del sizes
         #: 0-based contiguous subject index per record
         self.subject_positions = positions
         self.event_flags = np.fromiter((r.event == 1 for r in records), bool, n)
         #: event time for events, censoring time for censored records
-        self.marginal_times = np.array(
-            [r.time if r.event == 1 else r.censor_time for r in records], dtype=float
+        self.marginal_times = np.fromiter(
+            (r.time if r.event == 1 else r.censor_time for r in records), float, n
         )
-        design = np.fromiter(chain.from_iterable(covariates), float, n * p)
+        design = np.fromiter(chain.from_iterable(r.covariates for r in records), float, n * p)
         # read-only before the reshape, so the (n, p) view is read-only too
         for array in (self.subject_positions, self.event_flags, self.marginal_times, design):
             array.flags.writeable = False
         self.design_matrix = design.reshape(n, p)
-        replicate_ids = [r.replicate_id for r in records]
         try:
             # TypeError for a non-integer id
-            replicate = np.fromiter(map(index, replicate_ids), np.int64, n)
+            replicate = np.fromiter((index(r.replicate_id) for r in records), np.int64, n)
         except OverflowError:
             raise DataFormatError("replicate ids must fit in 64 bits") from None
-        # stable sort by (subject, replicate): a repeated pair is adjacent and
-        # its second member is the later record
-        subject = self.subject_positions
-        order = np.lexsort((replicate, subject))
-        same = (np.diff(subject[order]) == 0) & (np.diff(replicate[order]) == 0)
-        if same.any():
-            i = int(order[np.argmax(same) + 1])
-            r = records[i]
-            raise DataFormatError(
-                f"record {i} repeats subject {r.subject_id}, replicate {r.replicate_id}"
-            )
+        # With one record per subject no (subject, replicate) pair can repeat.
+        # Otherwise a stable sort by (subject, replicate) puts a repeated pair
+        # side by side, its later record second.
+        if n > self.n_subjects:
+            order = np.lexsort((replicate, positions))
+            key = positions[order]
+            same = key[1:] == key[:-1]
+            key = replicate[order]
+            same &= key[1:] == key[:-1]
+            if same.any():
+                i = int(order[np.argmax(same) + 1])
+                r = records[i]
+                raise DataFormatError(
+                    f"record {i} repeats subject {r.subject_id}, replicate {r.replicate_id}"
+                )
 
     def __len__(self):
         return len(self.records)
@@ -233,11 +240,12 @@ def _read_csv_stream(fh, where) -> SurvivalDataset:
             f"{where}: header must start with {','.join(_BASE_COLUMNS)}, got {','.join(header)}"
         )
     names = tuple(header[4:])
-    records = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        records.append(_parse_row(row, lineno, len(names), where))
+    # parsed as the dataset consumes them, so only its tuple holds the records
+    records = (
+        _parse_row(row, lineno, len(names), where)
+        for lineno, row in enumerate(reader, start=2)
+        if row
+    )
     return SurvivalDataset(records, names)
 
 

@@ -191,6 +191,13 @@ class TimeGrid:
         if violations:
             raise InvalidParamsError(violations)
 
+    @classmethod
+    def _checked(cls, pts):
+        """The grid of cut points that ``validate_params`` has already passed."""
+        grid = object.__new__(cls)
+        object.__setattr__(grid, "cut_points", tuple(float(c) for c in pts))
+        return grid
+
     @cached_property
     def _cuts(self) -> np.ndarray:
         arr = np.array(self.cut_points, dtype=float)
@@ -252,7 +259,8 @@ class PiecewiseExponential:
         violations = validate_params(pts, rates)
         if violations:
             raise InvalidParamsError(violations)
-        self.grid = grid if is_grid else TimeGrid(pts)
+        # the rates' check covered the grid's rules, so raw points are not checked again
+        self.grid = grid if is_grid else TimeGrid._checked(pts)
         self.cuts = self.grid._cuts
         self.rates = np.array(rates, dtype=float)
         self.rates.flags.writeable = False

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,6 +127,21 @@ def test_dataset_arrays_equal_the_per_record_reference():
             np.testing.assert_array_equal(got, want, err_msg=name)
     assert datasets[-1].design_matrix.shape == (0, 2)
     assert datasets[-1].n_subjects == 0
+
+
+def test_one_record_subjects_load_with_little_scratch():
+    # with one record per subject no pair can repeat, so construction builds
+    # its arrays and drops its scratch without sorting
+    n = 20_000
+    records = [SurvivalRecord(i + 1, 1, 1.0 + i, 1) for i in range(n)]
+    tracemalloc.start()
+    try:
+        ds = SurvivalDataset(records)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.n_subjects == n and ds.subject_positions[-1] == n - 1
+    assert peak <= 2 * kept, (peak, kept)
 
 
 def test_dataset_load_messages():

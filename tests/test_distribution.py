@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from pexsurv import distribution
 from pexsurv.distribution import (
     InvalidParamsError,
     PiecewiseExponential,
@@ -77,6 +78,23 @@ def test_raw_cut_points_and_a_time_grid_build_the_same_distribution():
     assert raw.grid == grid.grid and repr(raw) == repr(grid)
     at_cuts = np.array(GRID[1:])
     assert np.array_equal(raw.cum_hazard(at_cuts), grid.cum_hazard(at_cuts))
+
+
+def test_each_construction_validates_its_parameters_once(monkeypatch):
+    calls = []
+
+    def counted(cut_points, rates):
+        calls.append(cut_points)
+        return validate_params(cut_points, rates)
+
+    grid = TimeGrid(GRID)
+    monkeypatch.setattr(distribution, "validate_params", counted)
+    for points in (list(GRID), grid):
+        calls.clear()
+        pe = PiecewiseExponential(points, RATES)
+        assert len(calls) == 1, points
+        assert pe.grid == grid and hash(pe.grid) == hash(grid)
+        assert pe.grid.cut_points == GRID and pe.grid.interval_index(2.5) == 2
 
 
 def test_zero_rates_are_legal():
