@@ -112,9 +112,8 @@ class SurvivalDataset:
         for i, name in enumerate(self.covariate_names):
             if name in self.covariate_names[:i]:
                 raise DataFormatError(f"covariate name {name!r} is repeated")
-        # Each array below is one streaming pass over the records: no
-        # per-record list is built, so construction holds little more than
-        # what the dataset keeps.
+        # Each array below streams from the records: no per-record list is
+        # built, so construction holds little more than what the dataset keeps.
         wrong_arity = np.fromiter((len(r.covariates) for r in records), np.intp, n) != p
         if wrong_arity.any():
             i = int(np.argmax(wrong_arity))
@@ -240,9 +239,10 @@ def _read_csv_stream(fh, where) -> SurvivalDataset:
             f"{where}: header must start with {','.join(_BASE_COLUMNS)}, got {','.join(header)}"
         )
     names = tuple(header[4:])
+    n_cov = len(names)
     # parsed as the dataset consumes them, so only its tuple holds the records
     records = (
-        _parse_row(row, lineno, len(names), where)
+        _parse_row(row, lineno, n_cov, where)
         for lineno, row in enumerate(reader, start=2)
         if row
     )
