@@ -204,11 +204,11 @@ def _cmd_fit(args) -> int:
 def _scenario_dataset(rates, n, rng) -> SurvivalDataset:
     pe = PiecewiseExponential(_SCENARIO_GRID, rates)
     times = pe.sample(n, rng=rng)
-    records = [
+    # a generator: the dataset holds the records only while it checks them
+    return SurvivalDataset(
         SurvivalRecord(subject_id=i + 1, replicate_id=1, time=float(t), event=1)
         for i, t in enumerate(times)
-    ]
-    return SurvivalDataset(records)
+    )
 
 
 def _cmd_simulate(args) -> int:

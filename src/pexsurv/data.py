@@ -90,21 +90,27 @@ _set_covariates = SurvivalRecord.__dict__["covariates"].__set__
 
 
 class SurvivalDataset:
-    """Immutable collection of :class:`SurvivalRecord` with named covariates.
+    """Immutable, columnar collection of survival records with named covariates.
 
     Subject ids must form a contiguous integer range (any starting value),
     each ``(subject_id, replicate_id)`` pair may occur once, the
     ``covariate_names`` must be distinct and their number must match the
-    arity of every record; subject and replicate ids must be integers.  The
+    arity of every record; subject and replicate ids must be integers.
+
+    The columns are the stored form.  After its checks the dataset keeps the
     arrays used by the model and sampler layers (``subject_positions``,
-    ``event_flags``, ``marginal_times`` and ``design_matrix``) are built once,
-    at construction, checked in bulk and read-only: copy one before writing
-    to it.
+    ``event_flags``, ``marginal_times`` and ``design_matrix``), its lowest
+    subject id and the replicate ids, all read-only (copy an array before
+    writing to it), and none of the records it was built from: ``records``
+    rebuilds them from the columns on each access.  Two datasets are equal
+    when their columns and ``covariate_names`` are, so an event record's
+    ``censor_time``, which the record ignores, does not count.
     """
 
     def __init__(self, records, covariate_names=()):
-        self.records: tuple[SurvivalRecord, ...] = tuple(records)
-        records = self.records
+        # held only while the checks run and the columns are built, one pass
+        # over the records per column
+        records = tuple(records)
         self.covariate_names: tuple[str, ...] = tuple(str(n) for n in covariate_names)
         n, p = len(records), len(self.covariate_names)
         # a repeated name would give two coefficients one monitored name, so
@@ -120,6 +126,7 @@ class SurvivalDataset:
             raise DataFormatError(
                 f"record {i} has {len(records[i].covariates)} covariates, expected {p}"
             )
+        del wrong_arity
         # TypeError for a non-integer id; as Python ints, the differences
         # below cannot wrap around
         base = min((index(r.subject_id) for r in records), default=0)
@@ -136,6 +143,8 @@ class SurvivalDataset:
             raise DataFormatError(_NOT_CONTIGUOUS)
         self.n_subjects: int = sizes.size
         del sizes
+        #: the lowest subject id, a Python int (ids may lie past 64 bits)
+        self._first_subject_id: int = base
         #: 0-based contiguous subject index per record
         self.subject_positions = positions
         self.event_flags = np.fromiter((r.event == 1 for r in records), bool, n)
@@ -168,23 +177,64 @@ class SurvivalDataset:
                 raise DataFormatError(
                     f"record {i} repeats subject {r.subject_id}, replicate {r.replicate_id}"
                 )
+        replicate.flags.writeable = False
+        self._replicate_ids = replicate
+
+    @property
+    def records(self) -> tuple[SurvivalRecord, ...]:
+        """The records, rebuilt from the columns on each access, in input order.
+
+        Each equals the record the dataset was built from, in canonical
+        form: plain ``int`` ids and ``float`` times, ``time=None`` for a
+        censored record and ``censor_time == 0.0`` for an event record.
+        Every access builds all of them, so bind the tuple once to iterate
+        or index it more than once.
+        """
+        base = self._first_subject_id
+        columns = zip(
+            self.subject_positions.tolist(),
+            self._replicate_ids.tolist(),
+            self.event_flags.tolist(),
+            self.marginal_times.tolist(),
+            map(tuple, self.design_matrix.tolist()),
+        )
+        return tuple(
+            SurvivalRecord(base + s, r, t, 1, 0.0, x)
+            if e
+            else SurvivalRecord(base + s, r, None, 0, t, x)
+            for s, r, e, t, x in columns
+        )
+
+    def _arrays(self):
+        return (
+            self.subject_positions,
+            self._replicate_ids,
+            self.event_flags,
+            self.marginal_times,
+            self.design_matrix,
+        )
 
     def __len__(self):
-        return len(self.records)
+        return len(self.event_flags)
 
     def __eq__(self, other):
         if not isinstance(other, SurvivalDataset):
             return NotImplemented
         return (
-            self.records == other.records and self.covariate_names == other.covariate_names
+            self.covariate_names == other.covariate_names
+            and self._first_subject_id == other._first_subject_id
+            and all(map(np.array_equal, self._arrays(), other._arrays()))
         )
 
     def __hash__(self):
-        return hash((self.records, self.covariate_names))
+        # The design matrix is left out: -0.0 == 0.0, so equal covariates may
+        # differ in bytes.  Equal ids, flags and (positive) times cannot.
+        *exact, _design = self._arrays()
+        return hash((self.covariate_names, self._first_subject_id, *(a.tobytes() for a in exact)))
 
     @property
     def n_records(self) -> int:
-        return len(self.records)
+        return len(self.event_flags)
 
     @property
     def n_events(self) -> int:
@@ -204,7 +254,7 @@ def _parse_row(row, lineno, n_cov, where):
         subject = int(row[0])
         replicate = int(row[1])
         status = int(row[3])
-        cov = tuple(float(v) for v in row[4:])
+        cov = tuple(map(float, row[4:]))
     except ValueError as exc:
         raise DataFormatError(f"{where}:{lineno}: {exc}") from None
     if status not in (0, 1):
@@ -240,7 +290,7 @@ def _read_csv_stream(fh, where) -> SurvivalDataset:
         )
     names = tuple(header[4:])
     n_cov = len(names)
-    # parsed as the dataset consumes them, so only its tuple holds the records
+    # parsed as the dataset consumes them, so no list holds the records
     records = (
         _parse_row(row, lineno, n_cov, where)
         for lineno, row in enumerate(reader, start=2)
@@ -260,12 +310,11 @@ def write_dataset_csv(data: SurvivalDataset, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(_BASE_COLUMNS) + list(data.covariate_names))
+        # rebuilt records hold plain ints and floats, whatever the input held
         for r in data.records:
-            t = r.time if r.event == 1 else r.censor_time
-            # plain float and int text, whatever numeric types the record holds
+            t = r.time if r.event else r.censor_time
             writer.writerow(
-                [r.subject_id, r.replicate_id, repr(float(t)), int(r.event)]
-                + [repr(float(v)) for v in r.covariates]
+                [r.subject_id, r.replicate_id, repr(t), r.event] + [repr(v) for v in r.covariates]
             )
 
 

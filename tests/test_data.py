@@ -84,22 +84,23 @@ def test_dataset_arrays():
     assert ds.max_observed_time == 4.0
 
 
-def _reference_arrays(ds):
+def _reference_arrays(records, p):
     """The per-record comprehensions the array views are defined by."""
-    base = min((r.subject_id for r in ds.records), default=0)
+    base = min((r.subject_id for r in records), default=0)
     return {
-        "subject_positions": np.array([r.subject_id - base for r in ds.records], dtype=np.intp),
-        "event_flags": np.array([r.event == 1 for r in ds.records], dtype=bool),
+        "subject_positions": np.array([r.subject_id - base for r in records], dtype=np.intp),
+        "event_flags": np.array([r.event == 1 for r in records], dtype=bool),
         "marginal_times": np.array(
-            [r.time if r.event == 1 else r.censor_time for r in ds.records], dtype=float
+            [r.time if r.event == 1 else r.censor_time for r in records], dtype=float
         ),
-        "design_matrix": np.array([r.covariates for r in ds.records], dtype=float).reshape(
-            ds.n_records, len(ds.covariate_names)
+        "design_matrix": np.array([r.covariates for r in records], dtype=float).reshape(
+            len(records), p
         ),
     }
 
 
 def _random_dataset(rng, p):
+    """A dataset of shuffled, partly censored records, and those records."""
     records = []
     for subject in range(5, 5 + 7):
         for replicate in rng.permutation(4)[: rng.integers(1, 4)]:
@@ -109,24 +110,74 @@ def _random_dataset(rng, p):
                 records.append(SurvivalRecord(subject, int(replicate), None, 0, t, cov))
             else:
                 records.append(SurvivalRecord(subject, int(replicate), t, 1, covariates=cov))
-    order = rng.permutation(len(records))
-    return SurvivalDataset([records[i] for i in order], [f"x{j}" for j in range(p)])
+    records = [records[i] for i in rng.permutation(len(records))]
+    return SurvivalDataset(records, [f"x{j}" for j in range(p)]), records
 
 
 def test_dataset_arrays_equal_the_per_record_reference():
     rng = np.random.default_rng(20)
-    datasets = [_random_dataset(rng, p) for p in (0, 2, 2)]
-    assert not datasets[1].event_flags.all() and datasets[1].event_flags.any()
-    assert datasets[1].subject_positions[0] != 0  # subjects are not in order
-    datasets += [SurvivalDataset([]), SurvivalDataset([], ("a", "b"))]
-    for ds in datasets:
-        for name, want in _reference_arrays(ds).items():
+    cases = [_random_dataset(rng, p) for p in (0, 2, 2)]
+    assert not cases[1][0].event_flags.all() and cases[1][0].event_flags.any()
+    assert cases[1][0].subject_positions[0] != 0  # subjects are not in order
+    cases += [(SurvivalDataset([]), []), (SurvivalDataset([], ("a", "b")), [])]
+    for ds, records in cases:
+        for name, want in _reference_arrays(records, len(ds.covariate_names)).items():
             got = getattr(ds, name)
             assert got.dtype == want.dtype and got.shape == want.shape, name
             assert got.flags.c_contiguous, name
             np.testing.assert_array_equal(got, want, err_msg=name)
-    assert datasets[-1].design_matrix.shape == (0, 2)
-    assert datasets[-1].n_subjects == 0
+    assert cases[-1][0].design_matrix.shape == (0, 2)
+    assert cases[-1][0].n_subjects == 0
+
+
+def test_records_are_rebuilt_from_the_columns():
+    rng = np.random.default_rng(21)
+    for p in (0, 1, 3):
+        ds, records = _random_dataset(rng, p)
+        assert ds.records == tuple(records)
+        assert len(ds) == ds.n_records == len(records)
+        again = SurvivalDataset(ds.records, ds.covariate_names)
+        assert again == ds and hash(again) == hash(ds)
+        for r in ds.records:
+            assert type(r.subject_id) is int and type(r.replicate_id) is int
+            assert type(r.time if r.event else r.censor_time) is float
+    assert SurvivalDataset([]).records == ()
+
+
+def test_event_record_censor_time_is_not_kept():
+    # an event record ignores its censor_time, so the dataset neither keeps
+    # nor compares it
+    ds = SurvivalDataset([SurvivalRecord(1, 1, 2.0, 1, 5.0), SurvivalRecord(2, 1, None, 0, 3.0)])
+    assert ds.records[0].censor_time == 0.0
+    assert ds.records[1].censor_time == 3.0
+    same = SurvivalDataset([SurvivalRecord(1, 1, 2.0, 1), SurvivalRecord(2, 1, None, 0, 3.0)])
+    assert ds == same and hash(ds) == hash(same)
+    other = SurvivalDataset([SurvivalRecord(1, 1, 2.0, 1), SurvivalRecord(2, 1, None, 0, 4.0)])
+    assert ds != other
+
+
+def test_signed_zero_covariates_are_equal_and_hash_equal():
+    a = SurvivalDataset([SurvivalRecord(1, 1, 2.0, 1, covariates=(-0.0, 1.0))], ("x", "y"))
+    b = SurvivalDataset([SurvivalRecord(1, 1, 2.0, 1, covariates=(0.0, 1.0))], ("x", "y"))
+    assert a == b and hash(a) == hash(b)
+    c = SurvivalDataset([SurvivalRecord(1, 1, 2.0, 1, covariates=(0.0, 2.0))], ("x", "y"))
+    assert a != c
+
+
+def test_dataset_keeps_columns_not_records():
+    # once the caller drops its records, only the columns stay: 25 B per
+    # one-record subject without covariates, against ~150 B for the records
+    n = 20_000
+    tracemalloc.start()
+    try:
+        records = [SurvivalRecord(i + 1, 1, 1.0 + i, 1) for i in range(n)]
+        ds = SurvivalDataset(records)
+        del records
+        kept, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.n_records == n
+    assert kept <= 40 * n, kept / n
 
 
 def test_one_record_subjects_load_with_little_scratch():
@@ -277,6 +328,19 @@ def test_csv_round_trip_of_numpy_and_non_int_values(tmp_path, record):
     path = tmp_path / "ds.csv"
     write_dataset_csv(ds, path)
     assert read_dataset_csv(path) == ds
+
+
+def test_csv_round_trip_of_bool_and_numpy_ids(tmp_path):
+    records = [
+        SurvivalRecord(True, True, 2.0, 1),
+        SurvivalRecord(np.int8(2), np.uint16(7), None, 0, 3.0),
+        SurvivalRecord(np.uint16(3), np.int8(-2), 1.5, 1),
+    ]
+    ds = SurvivalDataset(records)
+    path = tmp_path / "ds.csv"
+    write_dataset_csv(ds, path)
+    assert read_dataset_csv(path) == ds
+    assert path.read_text().splitlines()[1:] == ["1,1,2.0,1", "2,7,3.0,0", "3,-2,1.5,1"]
 
 
 def test_csv_malformed_rows_report_line_numbers(tmp_path):

@@ -1450,3 +1450,25 @@ def test_one_sweep_is_invariant_with_frozen_widths(family, impute, width):
     # Tuned widths differ from 1.0 by orders of magnitude; a width applied on
     # the wrong scale, or changed within an update, breaks invariance.
     _assert_one_sweep_invariant(family, impute, JOINT_X + 1.5, width)
+
+
+def test_sampler_paths_read_the_columns_not_the_records(monkeypatch):
+    # the dataset rebuilds its records on each access, so no sampler path may
+    # read them: every layer works from the dataset's arrays
+    def no_records(_ds):
+        raise AssertionError("a sampler path rebuilt the dataset's records")
+
+    kidney = load_kidney()
+    monkeypatch.setattr(SurvivalDataset, "records", property(no_records))
+    for family in (FAMILY_GAMMA_CHAIN, FAMILY_LOGNORMAL_RW):
+        spec = ModelSpec(family=family, grid=KIDNEY_GRID)
+        state = initial_state(spec, kidney)
+        for augmented in (True, False):
+            sufficient_stats(state, spec, kidney, augmented=augmented)
+            cfg = McmcConfig(n_chains=1, burn_in=3, n_iter=5, seed=11, impute=augmented)
+            store = run_chain(spec, kidney, cfg)
+            assert store.n_draws == 5
+            assert all(np.isfinite(col).all() for col in store.draws.values())
+    s1 = _uncensored_dataset(S1, 500, 12)
+    stores = run_chains(ModelSpec(family=FAMILY_SIMPLE, grid=GRID4), s1, McmcConfig(seed=13))
+    assert [store.n_draws for store in stores] == [2000, 2000]
