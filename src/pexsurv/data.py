@@ -13,7 +13,7 @@ import io
 import math
 from dataclasses import dataclass
 from importlib import resources
-from itertools import chain
+from itertools import chain, islice
 from operator import index
 
 import numpy as np
@@ -89,6 +89,16 @@ _set_censor_time = SurvivalRecord.__dict__["censor_time"].__set__
 _set_covariates = SurvivalRecord.__dict__["covariates"].__set__
 
 
+def _checked_names(covariate_names) -> tuple[str, ...]:
+    names = tuple(str(n) for n in covariate_names)
+    # a repeated name would give two coefficients one monitored name, so a
+    # fit would keep the draws of only one of them
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise DataFormatError(f"covariate name {name!r} is repeated")
+    return names
+
+
 class SurvivalDataset:
     """Immutable, columnar collection of survival records with named covariates.
 
@@ -111,13 +121,8 @@ class SurvivalDataset:
         # held only while the checks run and the columns are built, one pass
         # over the records per column
         records = tuple(records)
-        self.covariate_names: tuple[str, ...] = tuple(str(n) for n in covariate_names)
-        n, p = len(records), len(self.covariate_names)
-        # a repeated name would give two coefficients one monitored name, so
-        # a fit would keep the draws of only one of them
-        for i, name in enumerate(self.covariate_names):
-            if name in self.covariate_names[:i]:
-                raise DataFormatError(f"covariate name {name!r} is repeated")
+        names = _checked_names(covariate_names)
+        n, p = len(records), len(names)
         # Each array below streams from the records: no per-record list is
         # built, so construction holds little more than what the dataset keeps.
         wrong_arity = np.fromiter((len(r.covariates) for r in records), np.intp, n) != p
@@ -130,8 +135,29 @@ class SurvivalDataset:
         # TypeError for a non-integer id; as Python ints, the differences
         # below cannot wrap around
         base = min((index(r.subject_id) for r in records), default=0)
+        self._init_columns(
+            names,
+            base,
+            (index(r.subject_id) - base for r in records),
+            # TypeError for a non-integer id
+            (index(r.replicate_id) for r in records),
+            np.fromiter((r.event == 1 for r in records), bool, n),
+            np.fromiter((r.time if r.event == 1 else r.censor_time for r in records), float, n),
+            np.fromiter(chain.from_iterable(r.covariates for r in records), float, n * p),
+        )
+
+    def _init_columns(self, names, base, offsets, replicate_ids, events, times, design):
+        """Check and keep the columns of n records; both constructors end here.
+
+        ``offsets`` yields each subject id less ``base``, the lowest, and
+        ``replicate_ids`` each replicate id, as Python ints; ``events``,
+        ``times`` and ``design`` (n * p values, record by record) are arrays
+        that the dataset takes over.
+        """
+        n, p = len(events), len(names)
+        self.covariate_names: tuple[str, ...] = names
         try:
-            positions = np.fromiter((index(r.subject_id) - base for r in records), np.intp, n)
+            positions = np.fromiter(offsets, np.intp, n)
         except OverflowError:  # a gap wider than intp
             raise DataFormatError(_NOT_CONTIGUOUS) from None
         # with every position below n, count the records of each subject: the
@@ -147,19 +173,15 @@ class SurvivalDataset:
         self._first_subject_id: int = base
         #: 0-based contiguous subject index per record
         self.subject_positions = positions
-        self.event_flags = np.fromiter((r.event == 1 for r in records), bool, n)
+        self.event_flags = events
         #: event time for events, censoring time for censored records
-        self.marginal_times = np.fromiter(
-            (r.time if r.event == 1 else r.censor_time for r in records), float, n
-        )
-        design = np.fromiter(chain.from_iterable(r.covariates for r in records), float, n * p)
+        self.marginal_times = times
         # read-only before the reshape, so the (n, p) view is read-only too
-        for array in (self.subject_positions, self.event_flags, self.marginal_times, design):
+        for array in (positions, events, times, design):
             array.flags.writeable = False
         self.design_matrix = design.reshape(n, p)
         try:
-            # TypeError for a non-integer id
-            replicate = np.fromiter((index(r.replicate_id) for r in records), np.int64, n)
+            replicate = np.fromiter(replicate_ids, np.int64, n)
         except OverflowError:
             raise DataFormatError("replicate ids must fit in 64 bits") from None
         # With one record per subject no (subject, replicate) pair can repeat.
@@ -173,12 +195,29 @@ class SurvivalDataset:
             same &= key[1:] == key[:-1]
             if same.any():
                 i = int(order[np.argmax(same) + 1])
-                r = records[i]
                 raise DataFormatError(
-                    f"record {i} repeats subject {r.subject_id}, replicate {r.replicate_id}"
+                    f"record {i} repeats subject {base + int(positions[i])}, "
+                    f"replicate {int(replicate[i])}"
                 )
         replicate.flags.writeable = False
         self._replicate_ids = replicate
+
+    def _rows(self, rows=slice(None)):
+        """Subject id, replicate id, event flag, time and covariate tuple of
+        each record in ``rows``, as Python values."""
+        return zip(
+            map(self._first_subject_id.__add__, self.subject_positions[rows].tolist()),
+            self._replicate_ids[rows].tolist(),
+            self.event_flags[rows].tolist(),
+            self.marginal_times[rows].tolist(),
+            map(tuple, self.design_matrix[rows].tolist()),
+        )
+
+    def _records(self, rows):
+        return (
+            SurvivalRecord(s, r, t, 1, 0.0, x) if e else SurvivalRecord(s, r, None, 0, t, x)
+            for s, r, e, t, x in self._rows(rows)
+        )
 
     @property
     def records(self) -> tuple[SurvivalRecord, ...]:
@@ -188,22 +227,15 @@ class SurvivalDataset:
         form: plain ``int`` ids and ``float`` times, ``time=None`` for a
         censored record and ``censor_time == 0.0`` for an event record.
         Every access builds all of them, so bind the tuple once to iterate
-        or index it more than once.
+        or index it more than once; ``record(i)`` builds only record ``i``.
         """
-        base = self._first_subject_id
-        columns = zip(
-            self.subject_positions.tolist(),
-            self._replicate_ids.tolist(),
-            self.event_flags.tolist(),
-            self.marginal_times.tolist(),
-            map(tuple, self.design_matrix.tolist()),
-        )
-        return tuple(
-            SurvivalRecord(base + s, r, t, 1, 0.0, x)
-            if e
-            else SurvivalRecord(base + s, r, None, 0, t, x)
-            for s, r, e, t, x in columns
-        )
+        return tuple(self._records(slice(None)))
+
+    def record(self, i) -> SurvivalRecord:
+        """Record ``i`` as ``records[i]`` gives it, rebuilt from row ``i`` of the columns."""
+        i = range(len(self))[index(i)]
+        (record,) = self._records(slice(i, i + 1))
+        return record
 
     def _arrays(self):
         return (
@@ -277,6 +309,46 @@ def _parse_row(row, lineno, n_cov, where):
         raise DataFormatError(f"{where}:{lineno}: {exc}") from None
 
 
+#: Rows read and parsed as one block of columns: enough to spread the dozen
+#: numpy calls of a block thinly, few enough that the block's row strings
+#: (~450 B a row) stay small beside the columns of a large file.
+_CHUNK_ROWS = 2048
+
+
+def _parse_chunk(rows, width):
+    """The rows' typed columns, or None when a row breaks a rule of ``_parse_row``.
+
+    Blank rows are skipped.  Returns the subject and replicate ids (lists of
+    ints), the event flags, the times and the ``(rows, covariates)`` design.
+    Each field is converted by ``int`` or ``float``, as ``_parse_row`` does,
+    and the record rules are checked on whole columns.
+    """
+    if not all(rows):
+        rows = list(filter(None, rows))
+    if not set(map(len, rows)) <= {width}:
+        return None
+    k = len(rows)
+    subjects, replicates, times, status, *covariates = zip(*rows) if k else [()] * width
+    try:
+        subjects = list(map(int, subjects))
+        replicates = list(map(int, replicates))
+        status = np.fromiter(map(int, status), np.int64, k)
+        # stripped first, as by _parse_row: float keeps some characters strip drops
+        times = np.fromiter(map(float, map(str.strip, times)), float, k)
+        design = np.fromiter(map(float, chain.from_iterable(covariates)), float, k * (width - 4))
+    except (ValueError, OverflowError):
+        return None
+    events = status == 1
+    # NaN fails both comparisons
+    if not (
+        (events | (status == 0)).all()
+        and ((times > 0) & (times < math.inf)).all()
+        and np.isfinite(design).all()
+    ):
+        return None
+    return subjects, replicates, events, times, design.reshape(width - 4, k).T
+
+
 def _read_csv_stream(fh, where) -> SurvivalDataset:
     reader = csv.reader(fh)
     try:
@@ -290,17 +362,45 @@ def _read_csv_stream(fh, where) -> SurvivalDataset:
         )
     names = tuple(header[4:])
     n_cov = len(names)
-    # parsed as the dataset consumes them, so no list holds the records
-    records = (
-        _parse_row(row, lineno, n_cov, where)
-        for lineno, row in enumerate(reader, start=2)
-        if row
+    subjects, replicates = [], []
+    events, times, design = [np.empty(0, bool)], [np.empty(0)], [np.empty((0, n_cov))]
+    lineno = 2  # of the chunk's first row
+    while rows := list(islice(reader, _CHUNK_ROWS)):
+        columns = _parse_chunk(rows, 4 + n_cov)
+        if columns is None:
+            # read again row by row, for the first bad row's line and message
+            for i, row in enumerate(rows, start=lineno):
+                if row:
+                    _parse_row(row, i, n_cov, where)
+            raise AssertionError(f"{where}: a rejected chunk passed row by row")
+        subject_ids, replicate_ids, *arrays = columns
+        subjects += subject_ids
+        replicates += replicate_ids
+        for parts, array in zip((events, times, design), arrays):
+            parts.append(array)
+        lineno += len(rows)
+    events, times, design = map(np.concatenate, (events, times, design))
+    base = min(subjects, default=0)
+    data = SurvivalDataset.__new__(SurvivalDataset)
+    data._init_columns(
+        _checked_names(names),
+        base,
+        (s - base for s in subjects),
+        replicates,
+        events,
+        times,
+        design,
     )
-    return SurvivalDataset(records, names)
+    return data
 
 
 def read_dataset_csv(path) -> SurvivalDataset:
-    """Parse a dataset CSV; malformed rows are reported with line numbers."""
+    """Parse a dataset CSV; malformed rows are reported with line numbers.
+
+    The rows are parsed into columns a chunk at a time and no record is
+    built; a chunk with a malformed row is read again row by row, only to
+    name the first such row.
+    """
     with open(path, newline="") as fh:
         return _read_csv_stream(fh, str(path))
 
@@ -310,12 +410,10 @@ def write_dataset_csv(data: SurvivalDataset, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(_BASE_COLUMNS) + list(data.covariate_names))
-        # rebuilt records hold plain ints and floats, whatever the input held
-        for r in data.records:
-            t = r.time if r.event else r.censor_time
-            writer.writerow(
-                [r.subject_id, r.replicate_id, repr(t), r.event] + [repr(v) for v in r.covariates]
-            )
+        # the columns give plain ints and floats, whatever the input held
+        writer.writerows(
+            [s, r, repr(t), int(e), *map(repr, x)] for s, r, e, t, x in data._rows()
+        )
 
 
 def load_kidney() -> SurvivalDataset:

@@ -364,7 +364,7 @@ class _FitContext:
 
     def describe_record(self, i):
         """Which record ``i`` is, and which time of it the sweep works with."""
-        r = self.data.records[i]
+        r = self.data.record(i)
         where = f"record {i} (subject {r.subject_id}, replicate {r.replicate_id}"
         if r.event:
             return f"time of {where}, event at {r.time:g})"

@@ -676,7 +676,7 @@ def test_imputation_zero_tail_aborts_chain():
         mcmc._FitContext(spec, data, augmented=True).impute(state, np.random.default_rng(2))
 
 
-def test_overflowing_imputation_aborts_at_once_naming_the_record():
+def _assert_overflowing_imputation_aborts():
     # H(1e300) is ~1e300, so the subject's frailty draw underflows and the
     # residual -log1p(-u) / w overflows; the sweep that draws it must stop.
     records = [SurvivalRecord(1, 1, None, 0, 1e300)] + [
@@ -691,6 +691,10 @@ def test_overflowing_imputation_aborts_at_once_naming_the_record():
     msg = str(info.value)
     assert "imputed time of censored record 0 (subject 1, replicate 1, censored at 1e+300)" in msg
     assert "not finite" in msg
+
+
+def test_overflowing_imputation_aborts_at_once_naming_the_record():
+    _assert_overflowing_imputation_aborts()
 
 
 def test_overflowing_cumulative_hazard_names_the_record():
@@ -1472,3 +1476,5 @@ def test_sampler_paths_read_the_columns_not_the_records(monkeypatch):
     s1 = _uncensored_dataset(S1, 500, 12)
     stores = run_chains(ModelSpec(family=FAMILY_SIMPLE, grid=GRID4), s1, McmcConfig(seed=13))
     assert [store.n_draws for store in stores] == [2000, 2000]
+    # an abort names its record from the columns too
+    _assert_overflowing_imputation_aborts()
