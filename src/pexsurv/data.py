@@ -346,7 +346,8 @@ def _parse_chunk(rows, width):
         and np.isfinite(design).all()
     ):
         return None
-    return subjects, replicates, events, times, design.reshape(width - 4, k).T
+    # a C-ordered block, so the concatenated design matrix is C-ordered too
+    return subjects, replicates, events, times, design.reshape(width - 4, k).T.copy()
 
 
 def _read_csv_stream(fh, where) -> SurvivalDataset:

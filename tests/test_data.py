@@ -361,7 +361,7 @@ def test_csv_round_trip_of_bool_and_numpy_ids(tmp_path):
     assert path.read_text().splitlines()[1:] == ["1,1,2.0,1", "2,7,3.0,0", "3,-2,1.5,1"]
 
 
-def test_csv_writer_bytes(tmp_path):
+def test_csv_writer_writes_these_bytes(tmp_path):
     big = 2**70
     ds = SurvivalDataset(
         [
@@ -413,9 +413,9 @@ def test_csv_ingest_builds_no_record(tmp_path, monkeypatch):
 
 
 def test_csv_ingest_holds_columns_not_rows(tmp_path):
-    # the strings of one chunk of rows and the columns parsed so far are
-    # alive at once, never a record or a row per line: the peak was 2.9 times
-    # what the dataset keeps, against 7.5 when every row became a record
+    # at most one chunk's row strings live beside the columns parsed so far,
+    # and no record is built: the peak measured 2.9 times what the dataset
+    # keeps, against 7.5 when every row became a record
     n = 20_000
     path = tmp_path / "ds.csv"
     _valid_csv(path, n)
