@@ -112,7 +112,8 @@ class SurvivalDataset:
     ``event_flags``, ``marginal_times`` and ``design_matrix``), its lowest
     subject id and the replicate ids, all read-only (copy an array before
     writing to it), and none of the records it was built from: ``records``
-    rebuilds them from the columns on each access.  Two datasets are equal
+    rebuilds them from the columns on each access, ``record(i)`` one of
+    them.  Two datasets are equal
     when their columns and ``covariate_names`` are, so an event record's
     ``censor_time``, which the record ignores, does not count.
     """
