@@ -366,21 +366,23 @@ def _read_csv_stream(fh, where) -> SurvivalDataset:
     n_cov = len(names)
     subjects, replicates = [], []
     events, times, design = [np.empty(0, bool)], [np.empty(0)], [np.empty((0, n_cov))]
-    lineno = 2  # of the chunk's first row
+    lineno = reader.line_num + 1  # the physical line of the chunk's first row
     while rows := list(islice(reader, _CHUNK_ROWS)):
         columns = _parse_chunk(rows, 4 + n_cov)
         if columns is None:
-            # read again row by row, for the first bad row's line and message
-            for i, row in enumerate(rows, start=lineno):
+            # read again row by row, for the first bad row's line and message;
+            # a row starts below the line breaks quoted in the rows before it
+            for row in rows:
                 if row:
-                    _parse_row(row, i, n_cov, where)
+                    _parse_row(row, lineno, n_cov, where)
+                lineno += 1 + sum(f.count("\n") + f.count("\r") - f.count("\r\n") for f in row)
             raise AssertionError(f"{where}: a rejected chunk passed row by row")
         subject_ids, replicate_ids, *arrays = columns
         subjects += subject_ids
         replicates += replicate_ids
         for parts, array in zip((events, times, design), arrays):
             parts.append(array)
-        lineno += len(rows)
+        lineno = reader.line_num + 1
     events, times, design = map(np.concatenate, (events, times, design))
     base = min(subjects, default=0)
     data = SurvivalDataset.__new__(SurvivalDataset)

@@ -55,9 +55,10 @@ the log scale with the Jacobian included.  Each slice coordinate (a log-rate
 or xi_j, log eta, the frailty rescale's log c, a coefficient's shift) has
 its own width: 1.0 during burn-in, then frozen at ``_WIDTH_PER_JUMP`` times
 the coordinate's mean burn-in jump |x1 - x0|, so the retained draws come
-from one fixed kernel (Neal 2003, section 4.4).  The kernel reads its
-uniforms from blocks of ``_UNIFORM_BLOCK`` doubles drawn from the chain's
-generator.
+from one fixed kernel (Neal 2003, section 4.4); every block slices through
+the fit context's ``slice_update``, which applies that rule.  The sweep
+draws through three entry points: the kernel's ``random()``, handed out of
+blocks of ``_UNIFORM_BLOCK`` doubles, ``uniform(size=)`` and ``standard_gamma``.
 
 The frailty families' rate prior is stated once per chain, as the fit
 context's ``link`` from each log-rate to the next, which the rate targets,
@@ -260,7 +261,9 @@ class _FitContext:
     times interval overlaps: ``overlap``, the interval-major (m, n) E at the
     working times that ``track`` caches once per chain and ``impute`` keeps
     current, and ``bound_overlap`` at the censoring bounds, which never move;
-    imputation inverts H on the ladder over the grid's ``cuts``.
+    imputation inverts H on the ladder over the grid's ``cuts``.  Every block
+    slices through ``slice_update`` and draws by ``random()``,
+    ``uniform(size=)`` and ``standard_gamma`` only.
     """
 
     def __init__(self, spec: ModelSpec, data: SurvivalDataset, augmented: bool):
@@ -292,15 +295,14 @@ class _FitContext:
         self.p = self.X.shape[1]
         self.subj = data.subject_positions
         self.n_sub = max(data.n_subjects, 1)
-        self.events = data.event_flags
-        self.cens_idx = np.flatnonzero(~self.events)
+        events = data.event_flags
+        self.cens_idx = np.flatnonzero(~events)
         # imputation's fixed per-chain views: the censored rows of X and their subjects
         self.cens_X, self.cens_subj = self.X[self.cens_idx], self.subj[self.cens_idx]
-        self.marg_times = data.marginal_times
-        self.bound_overlap = spec.grid.exposures(self.marg_times[self.cens_idx]).T  # (m, #censored)
+        self.bound_overlap = spec.grid.exposures(data.marginal_times[self.cens_idx]).T  # (m, #censored)
         # Density indicator per record: with augmentation every working time
         # is scored as an event; otherwise only true events are.
-        dens = np.ones(data.n_records) if augmented else self.events.astype(float)
+        dens = np.ones(data.n_records) if augmented else events.astype(float)
         self.sub_counts = np.bincount(self.subj, weights=dens, minlength=self.n_sub)
         # The collapsed eta target sums lgamma(eta + d_i) - lgamma(eta) as
         # sum_k c_k log(eta + k), with c_k = #{i : d_i > k}.
@@ -362,6 +364,12 @@ class _FitContext:
             if 0.0 < width < math.inf:
                 self.slice_widths[i] = width
 
+    def slice_update(self, i, logf, x0, rng):
+        """Slice coordinate ``i`` from ``x0`` at its width; its jump joins ``jump_sums[i]``."""
+        x1 = update_scalar_slice(logf, x0, rng, width=self.slice_widths[i])
+        self.jump_sums[i] += abs(x1 - x0)
+        return x1
+
     def describe_record(self, i):
         """Which record ``i`` is, and which time of it the sweep works with."""
         r = self.data.record(i)
@@ -406,7 +414,7 @@ class _FitContext:
                 "zero-rate tail: censored times cannot be imputed above their bounds"
             )
         w = np.exp(self.cens_X @ state.beta) * state.z[self.cens_subj]
-        u = np.maximum(rng.random(idx.size), _TINY)
+        u = np.maximum(rng.uniform(size=idx.size), _TINY)
         with np.errstate(over="ignore"):  # checked below
             level = rates @ self.bound_overlap - np.log1p(-u) / w
             times = inverse_cum_hazard_at(self.cuts, hazard_ladder(self.widths, rates), rates, level)
@@ -426,7 +434,6 @@ class _FitContext:
         # once per block, and read -inf where e^x would not be a positive,
         # finite double.
         d, risk = d.tolist(), risk.tolist()
-        widths, jumps = self.slice_widths, self.jump_sums
         link = self.link
         xi = np.log(state.rates).tolist()
         for j in range(self.m):
@@ -441,9 +448,7 @@ class _FitContext:
                     v += link(nxt - x)
                 return v
 
-            x1 = update_scalar_slice(logf, xi[j], rng, width=widths[j])
-            jumps[j] += abs(x1 - xi[j])
-            xi[j] = x1
+            xi[j] = self.slice_update(j, logf, xi[j], rng)
         state.rates = np.exp(xi)
 
     def update_z(self, state, rng, a_sum):
@@ -484,10 +489,7 @@ class _FitContext:
                 v += c * math.log(eta + k)
             return v - float((eta + counts) @ np.log(eta + a_sum))
 
-        s0 = math.log(state.eta)
-        s1 = update_scalar_slice(logf, s0, rng, width=self.slice_widths[-2])
-        self.jump_sums[-2] += abs(s1 - s0)
-        state.eta = math.exp(s1)
+        state.eta = math.exp(self.slice_update(-2, logf, math.log(state.eta), rng))
         self.update_z(state, rng, a_sum)
 
     def update_scale(self, state, rng):
@@ -519,8 +521,7 @@ class _FitContext:
                 return -math.inf
             return eta * n * s - eta * math.exp(s + log_z_sum) + link(x1 - s)
 
-        s1 = update_scalar_slice(logf, 0.0, rng, width=self.slice_widths[-1])
-        self.jump_sums[-1] += abs(s1)
+        s1 = self.slice_update(-1, logf, 0.0, rng)
         state.z = state.z * math.exp(s1)
         state.rates = state.rates * math.exp(-s1)
 
@@ -536,7 +537,6 @@ class _FitContext:
         if not self.p:
             return
         var, link = self.h.beta_var, self.link
-        widths, jumps = self.slice_widths, self.jump_sums
         # The move scales each weight by e^{delta (x_ik - xbar_k)}.
         beta = state.beta.tolist()
         # Every move shifts all log-rates alike; `moved` is their total shift.
@@ -570,8 +570,7 @@ class _FitContext:
                 v = delta * sx - float(w @ np.exp(delta * xc)) - (b + delta) ** 2 / (2.0 * var)
                 return v + link(xi1 + shift)
 
-            delta = update_scalar_slice(logf, 0.0, rng, width=widths[self.m + k])
-            jumps[self.m + k] += abs(delta)
+            delta = self.slice_update(self.m + k, logf, 0.0, rng)
             beta[k] += delta
             moved -= delta * xbar
             weight = weight * np.exp(delta * xc)
@@ -612,21 +611,18 @@ class _ChainSource:
     """A chain's generator, with scalar uniforms handed out of blocks.
 
     ``random()`` returns the next double of a block drawn with
-    ``gen.random(_UNIFORM_BLOCK)``; ``random(size)`` and ``standard_gamma``
-    (the frailty draw's unit-scale Gamma) draw from the generator itself.
-    The sweep's blocks take this or a plain ``Generator``.
+    ``gen.random(_UNIFORM_BLOCK)``; ``uniform(size=)`` (imputation's vector)
+    and ``standard_gamma`` (the frailty draw's unit-scale Gamma) are the
+    generator's own, so the sweep's blocks take this or a plain ``Generator``.
     """
 
-    __slots__ = ("gen", "standard_gamma", "_next")
+    __slots__ = ("random", "uniform", "standard_gamma")
 
     def __init__(self, gen: np.random.Generator):
-        self.gen = gen
-        self.standard_gamma = gen.standard_gamma
         blocks = iter(lambda: gen.random(_UNIFORM_BLOCK).tolist(), None)
-        self._next = itertools.chain.from_iterable(blocks).__next__
-
-    def random(self, size=None):
-        return self._next() if size is None else self.gen.random(size)
+        self.random = itertools.chain.from_iterable(blocks).__next__
+        self.uniform = gen.uniform
+        self.standard_gamma = gen.standard_gamma
 
 
 def run_chain(

@@ -431,9 +431,21 @@ def test_csv_ingest_holds_columns_not_rows(tmp_path):
 
 def test_csv_malformed_rows_report_line_numbers(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("subject,replicate,time,status\n1,1,5.0,1\n2,1,oops,1\n")
-    with pytest.raises(DataFormatError, match=":3:"):
-        read_dataset_csv(path)
+    for text, line in [
+        ("subject,replicate,time,status\n1,1,5.0,1\n2,1,oops,1\n", 3),
+        # the first row's covariate is quoted across lines 2-3, so the bad row is on line 4
+        ('subject,replicate,time,status,x\n1,1,5.0,1,"\n1"\n2,1,oops,1,0.5\n', 4),
+        # ... and so is every row after it, also in a later chunk
+        (
+            'subject,replicate,time,status,x\n1,1,5.0,1,"\n1"\n'
+            + "".join(f"{i},1,5.0,1,0.5\n" for i in range(2, _CHUNK_ROWS + 2))
+            + f"{_CHUNK_ROWS + 2},1,oops,1,0.5\n",
+            _CHUNK_ROWS + 4,
+        ),
+    ]:
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match=f":{line}: invalid time 'oops'"):
+            read_dataset_csv(path)
 
 
 def test_csv_event_with_missing_time_rejected(tmp_path):
@@ -572,16 +584,22 @@ def dataset_csv_texts(draw):
 
 
 def _read_row_by_row(path):
-    """The reference reader: every row through ``_parse_row`` to a record."""
+    """The reference reader: every row through ``_parse_row`` to a record,
+    numbered by the physical line that it starts on."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         names = next(reader)[4:]
+
+        def numbered():
+            while True:
+                lineno = reader.line_num + 1
+                row = next(reader, None)
+                if row is None:
+                    return
+                yield lineno, row
+
         return SurvivalDataset(
-            (
-                _parse_row(row, lineno, len(names), str(path))
-                for lineno, row in enumerate(reader, start=2)
-                if row
-            ),
+            (_parse_row(row, lineno, len(names), str(path)) for lineno, row in numbered() if row),
             names,
         )
 
@@ -596,6 +614,7 @@ def _outcome(read, path):
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(text=dataset_csv_texts())
 @example(text="subject,replicate,time,status\n1,1,\x1f2,1\n")
+@example(text='subject,replicate,time,status,x\n1,1,5,1,"\r\n1\r"\n\n2,1,"\n7",1,"0\n"\n3,1,x,1,0\n')
 def test_csv_columns_equal_the_row_by_row_reference(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("csv") / "ds.csv"
     path.write_text(text)

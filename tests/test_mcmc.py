@@ -1,4 +1,6 @@
+import ast
 import contextlib
+import inspect
 import itertools
 import math
 import multiprocessing
@@ -597,6 +599,22 @@ def test_slice_widths_are_one_in_burn_in_then_frozen_and_recorded(monkeypatch):
     assert run_chain(simple, load_kidney(), no_burn_in).meta["slice_widths"] == {}
 
 
+def test_only_slice_update_calls_the_slice_kernel():
+    # One rule freezes every coordinate's width: no block or later move may
+    # call the kernel, or alias it, with a width of its own.
+    tree = ast.parse(inspect.getsource(mcmc))
+
+    def uses(node):
+        return [n for n in ast.walk(node) if isinstance(n, ast.Name) and n.id == "update_scalar_slice"]
+
+    (ctx,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_FitContext"]
+    (method,) = [n for n in ctx.body if isinstance(n, ast.FunctionDef) and n.name == "slice_update"]
+    (use,) = uses(tree)
+    assert use in uses(method)
+    (call,) = [n for n in ast.walk(method) if isinstance(n, ast.Call) and n.func is use]
+    assert [kw.arg for kw in call.keywords] == ["width"]
+
+
 def test_coefficient_moves_cost_the_same_on_any_covariate_scale(monkeypatch):
     # With one fixed width of 1.0, age in thousands (where delta's posterior
     # sd is ~1e-5) costs ~14.5 target evaluations per coefficient update
@@ -1032,11 +1050,11 @@ def test_random_and_uniform_draw_the_same_doubles():
 
 
 def test_chain_source_hands_out_scalar_uniforms_in_blocks():
-    # Scalar uniforms come from blocks of gen.random(256); sized and Gamma
-    # draws go to the generator between blocks.
+    # Scalar uniforms come from blocks of gen.random(256); sized uniform and
+    # Gamma draws go to the generator between blocks.
     source = mcmc._ChainSource(np.random.default_rng(8))
     scalars = [source.random() for _ in range(300)]
-    sized = source.random(3)
+    sized = source.uniform(size=3)
     ref = np.random.default_rng(8)
     blocks = ref.random(256).tolist() + ref.random(256).tolist()
     assert scalars == blocks[:300]
