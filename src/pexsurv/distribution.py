@@ -26,6 +26,11 @@ Boundary conventions (fixed here once, relied on everywhere else):
   endpoint of a flat stretch of ``H`` (so level 0 reads t = 0) and raising
   :class:`UnreachableMassError` for mass that ``H`` never reaches.
 
+Every pointwise method of :class:`PiecewiseExponential` takes one path,
+``_pointwise``: one check of the times, one lookup each, and a float for a
+scalar argument.  ``sample`` draws a truncated Exp(1) excess, bounded or not,
+with one expression.
+
 Two plain functions, :func:`hazard_ladder` and :func:`inverse_cum_hazard_at`,
 hold the ladder arithmetic that is shared.  They trust their arrays:
 :class:`PiecewiseExponential` validates before it calls them, and
@@ -83,6 +88,15 @@ class Violation:
     message: str
 
 
+def _first_offender(ok):
+    """Index of the first False in the boolean array ``ok``, or None."""
+    if ok.size:
+        i = int(ok.argmin())  # a boolean argmin is the first False
+        if not ok[i]:
+            return i
+    return None
+
+
 def validate_params(cut_points, rates) -> list[Violation]:
     """Check a (grid, rates) pair against the parameter rules.
 
@@ -100,20 +114,14 @@ def validate_params(cut_points, rates) -> list[Violation]:
     if cuts.size == 0:
         out.append(Violation("length", None, "grid must contain at least one cut point"))
     if cuts.size != lam.size:
-        out.append(
-            Violation(
-                "length",
-                None,
-                f"grid has {cuts.size} cut points but {lam.size} rates; lengths must match",
-            )
-        )
+        msg = f"grid has {cuts.size} cut points but {lam.size} rates; lengths must match"
+        out.append(Violation("length", None, msg))
 
-    bad = np.flatnonzero(~np.isfinite(cuts))
-    if bad.size:
-        out.append(Violation("finite", int(bad[0]), f"cut_points[{bad[0]}] is not finite"))
-    bad = np.flatnonzero(~np.isfinite(lam))
-    if bad.size:
-        out.append(Violation("finite", int(bad[0]), f"rates[{bad[0]}] is not finite"))
+    lam_finite = np.isfinite(lam)
+    for name, finite in (("cut_points", np.isfinite(cuts)), ("rates", lam_finite)):
+        i = _first_offender(finite)
+        if i is not None:
+            out.append(Violation("finite", i, f"{name}[{i}] is not finite"))
 
     if cuts.size:
         if not cuts[0] == 0.0:
@@ -121,20 +129,14 @@ def validate_params(cut_points, rates) -> list[Violation]:
                 Violation("origin", 0, f"first cut point must be exactly 0, got {cuts[0]:g}")
             )
         # compared, not subtracted: inf - inf would warn
-        nondec = np.flatnonzero(~(cuts[1:] > cuts[:-1]))
-        if nondec.size:
-            i = int(nondec[0]) + 1
-            out.append(
-                Violation(
-                    "increasing",
-                    i,
-                    f"cut points must be strictly increasing; cut_points[{i}] breaks the order",
-                )
-            )
+        i = _first_offender(cuts[1:] > cuts[:-1])
+        if i is not None:
+            msg = f"cut points must be strictly increasing; cut_points[{i + 1}] breaks the order"
+            out.append(Violation("increasing", i + 1, msg))
 
-    neg = np.flatnonzero(~(lam >= 0) & np.isfinite(lam))
-    if neg.size:
-        i = int(neg[0])
+    # a non-finite rate is the finite rule's offender, not this one's
+    i = _first_offender((lam >= 0.0) | ~lam_finite)
+    if i is not None:
         out.append(Violation("nonnegative", i, f"rates[{i}] is negative ({lam[i]:g})"))
     return out
 
@@ -245,7 +247,7 @@ class PiecewiseExponential:
 
     Parameters are validated once; prefix sums of ``rates * widths`` are
     cached so every evaluation is O(log m).  Each public method checks its
-    own argument once and evaluates through ``_locate`` (H) or ``_invert``.
+    own argument once and evaluates through ``_pointwise`` or ``_invert``.
     Every H and every inverse reads +inf past the largest double, with no
     warning.  :meth:`sample` raises :class:`UnreachableMassError` for bounds
     that hold no float mass: H(lower) = +inf, H(upper) <= H(lower), or no
@@ -288,37 +290,34 @@ class PiecewiseExponential:
         with np.errstate(over="ignore"):
             return inverse_cum_hazard_at(self.cuts, self._cum, self.rates, w)
 
-    def hazard(self, t):
+    def _pointwise(self, t, evaluate):
+        """``evaluate(j, H)`` at checked times; a float for a scalar, else an array."""
         arr, scalar = _prep_times(t)
-        out = self.rates[self._locate(arr)[0]]
+        out = evaluate(*self._locate(arr))
         return float(out) if scalar else out
+
+    def _log_f(self, j, h):
+        with np.errstate(divide="ignore"):  # a zero rate reads -inf
+            return np.log(self.rates[j]) - h
+
+    def hazard(self, t):
+        return self._pointwise(t, lambda j, h: self.rates[j])
 
     def cum_hazard(self, t):
-        arr, scalar = _prep_times(t)
-        out = self._locate(arr)[1]
-        return float(out) if scalar else out
+        return self._pointwise(t, lambda j, h: h)
 
     def survival(self, t):
-        arr, scalar = _prep_times(t)
-        out = np.exp(-self._locate(arr)[1])
-        return float(out) if scalar else out
+        return self._pointwise(t, lambda j, h: np.exp(-h))
 
     def cdf(self, t):
-        arr, scalar = _prep_times(t)
-        out = -np.expm1(-self._locate(arr)[1])
-        return float(out) if scalar else out
+        return self._pointwise(t, lambda j, h: -np.expm1(-h))
 
     def log_density(self, t):
         """Log density; -inf on intervals with zero rate (density truly zero)."""
-        arr, scalar = _prep_times(t)
-        j, h = self._locate(arr)
-        with np.errstate(divide="ignore"):
-            out = np.log(self.rates[j]) - h
-        return float(out) if scalar else out
+        return self._pointwise(t, self._log_f)
 
     def density(self, t):
-        out = np.exp(self.log_density(t))
-        return float(out) if np.ndim(t) == 0 else out
+        return self._pointwise(t, lambda j, h: np.exp(self._log_f(j, h)))
 
     # -- inversion ---------------------------------------------------------
 
@@ -335,7 +334,8 @@ class PiecewiseExponential:
         w = np.asarray(w, dtype=float)
         if not np.all(w >= 0.0):
             raise ValueError("cumulative hazard levels must be non-negative")
-        return self._invert(w)
+        out = self._invert(w)
+        return float(out) if w.ndim == 0 else out
 
     def quantile(self, p):
         """Generalized inverse CDF, inf{t : F(t) >= p}, for p in (0, 1)."""
@@ -393,11 +393,8 @@ class PiecewiseExponential:
                 raise UnreachableMassError("no probability mass inside the requested bounds")
 
         u = rng.uniform(size=size)
-        # inverse CDF of Exp(1) truncated to (0, span]
-        if np.isinf(span):
-            excess = -np.log1p(-u)
-        else:
-            excess = -np.log1p(u * np.expm1(-span))
+        # inverse CDF of Exp(1) truncated to (0, span]; expm1(-inf) is exactly -1
+        excess = -np.log1p(u * np.expm1(-span))
         # open at the lower endpoint: a zero excess would invert level 0 to t = 0
         excess = np.maximum(excess, _TINY)
         out = self._invert(h_lo + excess)

@@ -534,8 +534,6 @@ class _FitContext:
         ``weight`` is each record's z e^{x' beta} H at the current state.
         The rates are then multiplied by e^{-sum_k delta_k xbar_k} at once.
         """
-        if not self.p:
-            return
         var, link = self.h.beta_var, self.link
         # The move scales each weight by e^{delta (x_ik - xbar_k)}.
         beta = state.beta.tolist()
@@ -655,7 +653,7 @@ def run_chain(
         try:
             ctx.sweep(state, rng)
             k = it - config.burn_in
-            if k >= 0 and (k + 1) % config.thin == 0 and row < kept:
+            if k >= 0 and (k + 1) % config.thin == 0:
                 buf[row] = ctx.monitor_values(state)
                 row += 1
         except Exception as exc:

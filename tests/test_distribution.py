@@ -1,3 +1,5 @@
+import ast
+import inspect
 import re
 import warnings
 
@@ -65,6 +67,78 @@ def test_validate_repeated_infinite_cut_points_without_a_warning():
 def test_validate_collects_every_violation():
     out = validate_params([1.0, 0.5], [-1.0, 2.0])
     assert {"origin", "increasing", "nonnegative"} <= {v.rule for v in out}
+
+
+INC = "cut points must be strictly increasing; cut_points[{}] breaks the order"
+
+
+@pytest.mark.parametrize(
+    "cuts, rates, expected",
+    [
+        (GRID, RATES, []),
+        ([-0.0, 1.0], [0.0, 0.0], []),
+        ([], [], [("length", None, "grid must contain at least one cut point")]),
+        (
+            [],
+            [1.0],
+            [
+                ("length", None, "grid must contain at least one cut point"),
+                ("length", None, "grid has 0 cut points but 1 rates; lengths must match"),
+            ],
+        ),
+        (
+            [0.0, 1.0, 2.0],
+            [1.0, -0.5],
+            [
+                ("length", None, "grid has 3 cut points but 2 rates; lengths must match"),
+                ("nonnegative", 1, "rates[1] is negative (-0.5)"),
+            ],
+        ),
+        (
+            [0.0, np.nan, 2.0],
+            [1.0, np.inf, -np.inf],
+            [
+                ("finite", 1, "cut_points[1] is not finite"),
+                ("finite", 1, "rates[1] is not finite"),
+                ("increasing", 1, INC.format(1)),
+            ],
+        ),
+        (
+            [1.0, 0.5, 0.5],
+            [-1.0, np.nan, -2.0],
+            [
+                ("finite", 1, "rates[1] is not finite"),
+                ("origin", 0, "first cut point must be exactly 0, got 1"),
+                ("increasing", 1, INC.format(1)),
+                ("nonnegative", 0, "rates[0] is negative (-1)"),
+            ],
+        ),
+        (
+            [0.0, 1.0, -np.inf, np.inf],
+            [np.nan, 0.0, 2.0, -1e-300],
+            [
+                ("finite", 2, "cut_points[2] is not finite"),
+                ("finite", 0, "rates[0] is not finite"),
+                ("increasing", 2, INC.format(2)),
+                ("nonnegative", 3, "rates[3] is negative (-1e-300)"),
+            ],
+        ),
+        (
+            [np.nan],
+            [np.inf],
+            [
+                ("finite", 0, "cut_points[0] is not finite"),
+                ("finite", 0, "rates[0] is not finite"),
+                ("origin", 0, "first cut point must be exactly 0, got nan"),
+            ],
+        ),
+        ([0.0, 2.0, 2.0, 1.0], [0.0, 1.0, 1.0, 1.0], [("increasing", 2, INC.format(2))]),
+    ],
+)
+def test_validate_reports_each_rule_index_and_message_in_order(cuts, rates, expected):
+    out = validate_params(cuts, rates)
+    assert [(v.rule, v.index, v.message) for v in out] == expected
+    assert all(type(v.index) in (int, type(None)) for v in out)
 
 
 def test_constructor_raises_with_violation_list():
@@ -522,6 +596,18 @@ def test_only_plus_inf_means_no_upper_bound(pe):
         np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+@pytest.mark.parametrize("bounds", [{}, {"upper": np.inf}, {"lower": 0.0}])
+def test_unbounded_draws_invert_an_untruncated_exponential_excess(pe, seed, bounds):
+    # with no upper bound the truncated excess is -log1p(-u), bit for bit
+    tiny = np.nextafter(0.0, 1.0)
+    for size in (None, 1000):
+        u = np.random.default_rng(seed).uniform(size=size)
+        want = pe.inverse_cum_hazard(np.maximum(-np.log1p(-u), tiny))
+        got = pe.sample(size, rng=np.random.default_rng(seed), **bounds)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def test_evaluations_do_not_call_the_checking_methods(pe, monkeypatch):
     # quantile, sample and log_density check their argument once, then go
     # straight to the private evaluators with values computed inside
@@ -539,3 +625,36 @@ def test_evaluations_do_not_call_the_checking_methods(pe, monkeypatch):
     np.testing.assert_array_equal(got[2], want[2])
     assert pe.median() == want[0]
     assert pe.sample(rng=rng) > 0 and np.isfinite(pe.density(np.array([0.5, 7.0]))).all()
+
+
+def test_every_method_returns_a_float_for_a_scalar_and_an_array_for_an_array(pe):
+    pointwise = ("hazard", "cum_hazard", "survival", "cdf", "log_density", "density")
+    methods = [(getattr(pe, name), 3.483) for name in pointwise]
+    methods += [(pe.inverse_cum_hazard, 0.7), (pe.quantile, 0.3)]
+    for method, x in methods:
+        for scalar in (x, np.float64(x), np.array(x)):
+            assert type(method(scalar)) is float, method.__name__
+        for arr in ([x], np.full((2, 3), x)):
+            out = method(arr)
+            assert isinstance(out, np.ndarray) and out.shape == np.shape(arr), method.__name__
+    rng = np.random.default_rng(5)
+    assert type(pe.median()) is float
+    for bounds in ({}, {"lower": 1.0}, {"lower": 1.0, "upper": 4.0}):
+        assert type(pe.sample(rng=rng, **bounds)) is float
+        assert pe.sample(4, rng=rng, **bounds).shape == (4,)
+
+
+def test_only_the_pointwise_path_checks_times():
+    # One method checks, looks up and unwraps every pointwise evaluation; no
+    # other method of the distribution calls or aliases the time check.
+    tree = ast.parse(inspect.getsource(distribution))
+    (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "PiecewiseExponential"]
+    users = [
+        (f.name, type(parent).__name__)
+        for f in cls.body
+        if isinstance(f, ast.FunctionDef)
+        for parent in ast.walk(f)
+        for child in ast.iter_child_nodes(parent)
+        if isinstance(child, ast.Name) and child.id == "_prep_times"
+    ]
+    assert users == [("_pointwise", "Call")]

@@ -701,7 +701,7 @@ def _assert_overflowing_imputation_aborts():
         SurvivalRecord(i, 1, 0.5 * i, 1) for i in range(2, 12)
     ]
     spec = ModelSpec(FAMILY_GAMMA_CHAIN, TimeGrid((0.0, 2.0, 4.0)))
-    cfg = McmcConfig(n_chains=1, burn_in=0, n_iter=300, seed=1)
+    cfg = McmcConfig(n_chains=1, burn_in=0, n_iter=300, seed=1, impute=True)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ChainAbortError) as info:
