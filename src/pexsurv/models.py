@@ -30,7 +30,7 @@ marginal mode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -89,10 +89,10 @@ class HyperParams:
     beta_var: float = 1.0e3
 
     def __post_init__(self):
-        for name in ("gamma_shape", "gamma_rate", "alpha", "nu", "phi1", "phi2", "beta_var"):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not (value > 0 and math.isfinite(value)):
-                raise ValueError(f"hyperparameter {name} must be finite and strictly positive")
+                raise ValueError(f"hyperparameter {f.name} must be finite and strictly positive")
 
 
 @dataclass(frozen=True)
@@ -233,6 +233,18 @@ def log_likelihood(
     return float(np.sum(log_haz[dens]) - np.sum(w * cumhaz))
 
 
+def _gamma_log_density(x, shape, rate):
+    """Gamma(shape, rate) log density summed over ``x``; ``rate`` is a scalar or one per ``x``."""
+    x = np.asarray(x)
+    terms = (shape - 1.0) * np.log(x) - rate * x + shape * np.log(rate)
+    return float(terms.sum()) - x.size * math.lgamma(shape)
+
+
+def _normal_log_density(x, mean, var):
+    """N(mean, var) log density summed over the array ``x``."""
+    return -0.5 * float(((x - mean) ** 2 / var + math.log(2.0 * math.pi * var)).sum())
+
+
 def log_prior(state: ParamState, spec: ModelSpec) -> float:
     """Log prior density of the state under the family's prior.
 
@@ -241,45 +253,22 @@ def log_prior(state: ParamState, spec: ModelSpec) -> float:
     blocks are shared across frailty families.
     """
     _check_positive_state(state, spec)
-    h = spec.hyper
-    lam = state.rates
+    h, lam = spec.hyper, state.rates
     if spec.family == FAMILY_SIMPLE:
         if not np.all(lam > 0):
             raise ValueError("rate prior is defined on strictly positive rates")
-        return float(
-            np.sum((h.gamma_shape - 1.0) * np.log(lam) - h.gamma_rate * lam)
-            + lam.size * (h.gamma_shape * math.log(h.gamma_rate) - math.lgamma(h.gamma_shape))
-        )
-
+        return _gamma_log_density(lam, h.gamma_shape, h.gamma_rate)
     if spec.family == FAMILY_GAMMA_CHAIN:
-        prev = np.concatenate(([1.0], lam[:-1]))
-        rate = h.alpha / prev
-        lp = float(
-            np.sum(
-                (h.alpha - 1.0) * np.log(lam)
-                - rate * lam
-                + h.alpha * np.log(rate)
-                - math.lgamma(h.alpha)
-            )
-        )
+        lp = _gamma_log_density(lam, h.alpha, h.alpha / np.concatenate(([1.0], lam[:-1])))
     else:
         xi = np.log(lam)
-        prev = np.concatenate(([0.0], xi[:-1]))
-        lp = float(
-            np.sum(-0.5 * math.log(2.0 * math.pi * h.nu) - (xi - prev) ** 2 / (2.0 * h.nu))
-        )
-
-    z, eta = state.z, state.eta
-    lp += float(
-        np.sum((eta - 1.0) * np.log(z)) - eta * np.sum(z)
-        + z.size * (eta * math.log(eta) - math.lgamma(eta))
+        lp = _normal_log_density(xi, np.concatenate(([0.0], xi[:-1])), h.nu)
+    return (
+        lp
+        + _gamma_log_density(state.z, state.eta, state.eta)
+        + _gamma_log_density(state.eta, h.phi1, h.phi2)
+        + _normal_log_density(state.beta, 0.0, h.beta_var)
     )
-    lp += (h.phi1 - 1.0) * math.log(eta) - h.phi2 * eta
-    lp += h.phi1 * math.log(h.phi2) - math.lgamma(h.phi1)
-    lp += float(
-        np.sum(-0.5 * math.log(2.0 * math.pi * h.beta_var) - state.beta**2 / (2.0 * h.beta_var))
-    )
-    return lp
 
 
 def joint_log_density(

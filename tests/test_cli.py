@@ -83,6 +83,21 @@ def test_dist_sample_upper_bound_of_minus_inf_or_nan_is_validation_error(capsys,
     assert "upper bound must exceed the lower bound" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (
+            ["eval", "--grid", "0,x", "--rates", "1,2", "--t", "1"],
+            "could not parse '0,x' as comma-separated reals",
+        ),
+        (["sample", *S1_ARGS, "--n", "0", "--seed", "1"], "--n must be at least 1"),
+    ],
+)
+def test_dist_unreadable_input_is_validation_error(capsys, args, message):
+    assert main(["dist", *args]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_dist_unreachable_mass_is_runtime_error(capsys):
     rc = main(["dist", "sample", "--grid", "0,1", "--rates", "1,0", "--n", "5", "--seed", "1"])
     assert rc == 3

@@ -40,6 +40,18 @@ def test_censored_record_needs_censor_time():
     assert SurvivalRecord(1, 1, None, 0, np.float64(5.0)).censor_time == 5.0
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((1, 1, 2.0, 2), "event must be 0 or 1, got 2"),
+        ((1, 1, 2.0, 1, -1.0), "censor_time cannot be negative"),
+    ],
+)
+def test_record_rejects_an_unknown_event_or_a_negative_censor_time(args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SurvivalRecord(*args)
+
+
 def test_dataset_requires_contiguous_subjects():
     recs = [SurvivalRecord(1, 1, 1.0, 1), SurvivalRecord(3, 1, 2.0, 1)]
     with pytest.raises(DataFormatError):
@@ -467,6 +479,10 @@ def test_csv_header_checked(tmp_path):
     path.write_text("id,time,status\n1,5.0,1\n")
     with pytest.raises(DataFormatError, match="header"):
         read_dataset_csv(path)
+    path.write_text("")
+    with pytest.raises(DataFormatError) as err:
+        read_dataset_csv(path)
+    assert str(err.value) == f"{path}: empty file"
 
 
 def test_kidney_shape():

@@ -185,6 +185,11 @@ def test_summarize_schema_mismatch():
         summarize([_store(a=np.arange(200.0)), _store(b=np.arange(200.0))])
 
 
+def test_summarize_needs_a_chain():
+    with pytest.raises(ValueError, match="^need at least one chain$"):
+        summarize([])
+
+
 def test_summary_writers(tmp_path):
     rng = np.random.default_rng(7)
     stores = [_store(a=rng.standard_normal(300), b=rng.gamma(2, 1, 300))]

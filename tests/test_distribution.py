@@ -64,6 +64,11 @@ def test_validate_repeated_infinite_cut_points_without_a_warning():
     assert [(v.rule, v.index) for v in out] == [("finite", 1), ("increasing", 2)]
 
 
+def test_validate_raises_on_arrays_that_are_not_one_dimensional():
+    with pytest.raises(ValueError, match="^cut_points and rates must be one-dimensional$"):
+        validate_params([[0.0]], [[1.0]])
+
+
 def test_validate_collects_every_violation():
     out = validate_params([1.0, 0.5], [-1.0, 2.0])
     assert {"origin", "increasing", "nonnegative"} <= {v.rule for v in out}
@@ -150,6 +155,7 @@ def test_constructor_raises_with_violation_list():
 def test_raw_cut_points_and_a_time_grid_build_the_same_distribution():
     raw, grid = PiecewiseExponential(list(GRID), RATES), PiecewiseExponential(TimeGrid(GRID), RATES)
     assert raw.grid == grid.grid and repr(raw) == repr(grid)
+    assert raw.m == grid.m == len(GRID)
     at_cuts = np.array(GRID[1:])
     assert np.array_equal(raw.cum_hazard(at_cuts), grid.cum_hazard(at_cuts))
 

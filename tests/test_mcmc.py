@@ -716,17 +716,21 @@ def test_overflowing_imputation_aborts_at_once_naming_the_record():
 
 
 def test_overflowing_cumulative_hazard_names_the_record():
-    data = SurvivalDataset([SurvivalRecord(1, 1, 1e300, 1), SurvivalRecord(2, 1, 1.0, 1)])
     spec = ModelSpec(FAMILY_GAMMA_CHAIN, GRID4)
-    state = initial_state(spec, data)
-    state.rates = np.full(4, 1e10)
-    ctx = mcmc._FitContext(spec, data, augmented=False)
-    with pytest.raises(FloatingPointError) as info:
-        ctx.cum_hazard(state.rates, _stats(ctx, state).overlap)
-    assert str(info.value) == (
-        "cumulative hazard at the time of record 0 (subject 1, replicate 1, event at 1e+300) "
-        "is not finite"
-    )
+    for record, where in [
+        (SurvivalRecord(1, 1, 1e300, 1), "time of record 0 (subject 1, replicate 1, event at 1e+300)"),
+        (
+            SurvivalRecord(1, 1, None, 0, 1e300),
+            "censoring time of record 0 (subject 1, replicate 1, censored at 1e+300)",
+        ),
+    ]:
+        data = SurvivalDataset([record, SurvivalRecord(2, 1, 1.0, 1)])
+        state = initial_state(spec, data)
+        state.rates = np.full(4, 1e10)
+        ctx = mcmc._FitContext(spec, data, augmented=False)
+        with pytest.raises(FloatingPointError) as info:
+            ctx.cum_hazard(state.rates, _stats(ctx, state).overlap)
+        assert str(info.value) == f"cumulative hazard at the {where} is not finite"
 
     # A rate of e^709 on (4, 100] meets no record below 4, so H is finite,
     # with no warning; one record at 150 reads it, and H there overflows.

@@ -1,9 +1,12 @@
+import ast
+import inspect
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from pexsurv import models
 from pexsurv.data import SurvivalDataset, SurvivalRecord, load_kidney
 from pexsurv.distribution import PiecewiseExponential, TimeGrid
 from pexsurv.models import (
@@ -289,6 +292,44 @@ def test_joint_log_density_rejects_invalid_state(kidney, kidney_spec):
     state.eta = -1.0
     with pytest.raises(ValueError):
         joint_log_density(state, kidney_spec, kidney)
+    # a zero rate fails the frailty likelihood's check and the simple prior's
+    for family, message in [
+        (FAMILY_GAMMA_CHAIN, "frailty families require strictly positive rates"),
+        (FAMILY_LOGNORMAL_RW, "frailty families require strictly positive rates"),
+        (FAMILY_SIMPLE, "rate prior is defined on strictly positive rates"),
+    ]:
+        spec = ModelSpec(family, kidney_spec.grid)
+        state = initial_state(spec, kidney)
+        state.rates[3] = 0.0
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            joint_log_density(state, spec, kidney)
+
+
+def test_each_prior_density_is_written_once():
+    # Every Gamma prior goes through one log density and every normal prior
+    # through another, so each density's constants are stated once.
+    tree = ast.parse(inspect.getsource(models))
+    readers = {"lgamma": set(), "pi": set()}
+    for top in tree.body:  # a read outside any def is filed under None
+        for node in ast.walk(top):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in readers
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "math"
+            ):
+                readers[node.attr].add(getattr(top, "name", None))
+    assert readers == {"lgamma": {"_gamma_log_density"}, "pi": {"_normal_log_density"}}
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize(
+    "name", ["gamma_shape", "gamma_rate", "alpha", "nu", "phi1", "phi2", "beta_var"]
+)
+def test_every_hyperparameter_must_be_finite_and_strictly_positive(name, bad):
+    message = f"^hyperparameter {name} must be finite and strictly positive$"
+    with pytest.raises(ValueError, match=message):
+        HyperParams(**{name: bad})
 
 
 def test_hyperparams_validated():
