@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from pexsurv.cli import SCENARIOS, main
+from pexsurv.cli import SCENARIOS, build_parser, main
 from pexsurv.data import load_kidney, read_dataset_csv, write_dataset_csv
+from pexsurv.mcmc import McmcConfig
 
 S1_ARGS = ["--grid", "0,2,3,5", "--rates", "0.3,0.6,0.8,1.3"]
 
@@ -141,6 +142,16 @@ def test_fit_writes_all_outputs(tmp_path, capsys):
     assert meta["config"]["impute"] is True
     header = (out / "chain_1.csv").read_text().splitlines()[0]
     assert header.split(",")[:4] == ["lambda[1]", "lambda[2]", "lambda[3]", "lambda[4]"]
+
+
+def test_fit_layout_defaults_are_the_mcmc_config_defaults():
+    args = build_parser().parse_args(
+        ["fit", "--model", "simple", "--data", "kidney", "--seed", "0", "--out", "run"]
+    )
+    default = McmcConfig()
+    assert (args.chains, args.burnin, args.iters, args.thin) == (
+        default.n_chains, default.burn_in, default.n_iter, default.thin,
+    )
 
 
 def test_fit_statistical_outputs_reproducible(tmp_path):

@@ -194,6 +194,13 @@ def test_signed_zero_covariates_are_equal_and_hash_equal():
     assert a != c
 
 
+def test_a_dataset_is_never_equal_to_another_type():
+    record = SurvivalRecord(1, 1, 2.0, 1)
+    ds = SurvivalDataset([record])
+    assert ds.__eq__([record]) is NotImplemented
+    assert ds != [record] and ds != "dataset" and not ds == None  # noqa: E711
+
+
 def test_dataset_keeps_columns_not_records():
     # once the caller drops its records, only the columns stay: 25 B per
     # one-record subject without covariates, against ~150 B for the records

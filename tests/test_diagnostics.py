@@ -6,6 +6,7 @@ import pytest
 from pexsurv.diagnostics import (
     InsufficientDataError,
     SchemaError,
+    Summary,
     effective_sample_size,
     format_summary_table,
     hpd_interval,
@@ -201,3 +202,18 @@ def test_summary_writers(tmp_path):
     assert len(lines) == 3
     table = format_summary_table(summaries)
     assert "parameter" in table and "a" in table and "b" in table
+
+
+def test_summary_csv_bytes_are_pinned(tmp_path):
+    # a name holding a comma is quoted; each statistic is its shortest repr
+    rows = [
+        Summary("beta_a,b", 0.1, -0.0, 1e-300, -1.5, 2.0, 123.456),
+        Summary("eta", 1e16, 5e-324, 0.30000000000000004, 1.0, math.inf, 0.0),
+    ]
+    path = tmp_path / "summary.csv"
+    write_summary_csv(rows, path)
+    assert path.read_bytes() == (
+        b"parameter,mean,median,sd,hpd_low,hpd_high,ess\r\n"
+        b'"beta_a,b",0.1,-0.0,1e-300,-1.5,2.0,123.456\r\n'
+        b"eta,1e+16,5e-324,0.30000000000000004,1.0,inf,0.0\r\n"
+    )

@@ -112,6 +112,19 @@ def test_slice_rejects_non_finite_start():
         update_scalar_slice(lambda v: -np.inf, 0.0, rng)
 
 
+def test_slice_shrinkage_that_never_accepts_stops_at_its_cap():
+    # finite only at the current point, so every proposal is rejected
+    points = []
+
+    def logf(v):
+        points.append(v)
+        return 0.0 if len(points) == 1 else -np.inf
+
+    with pytest.raises(InvariantViolationError, match="slice shrinkage failed to terminate"):
+        update_scalar_slice(logf, 0.0, np.random.default_rng(105))
+    assert len(points) >= 1 + 10_000
+
+
 def test_slice_histogram_mass_preserved():
     # bimodal target: long-run bin masses match the target within MC error
     log_w = (np.log(0.6), np.log(0.4) - np.log(0.5))
@@ -388,6 +401,34 @@ def test_collapsed_eta_target_is_the_z_marginal(monkeypatch, augmented):
     want = np.array([marginal(np.exp(v)) for v in s])
     assert np.ptp(want) > 10.0
     assert np.ptp(got - want) < 1e-9
+
+
+@pytest.mark.parametrize("log_eta", [599.99, -699.99], ids=["below-600", "above-minus-700"])
+def test_eta_slice_next_to_its_range_guard_draws_a_finite_eta(monkeypatch, log_eta):
+    # log eta starts 0.01 inside [-700, 600]; stepping out crosses the bound,
+    # where the target reads -inf instead of overflowing
+    spec = ModelSpec(FAMILY_GAMMA_CHAIN, KIDNEY_GRID)
+    kidney, state = _kidney_state(spec, np.random.default_rng(68))
+    state.eta = math.exp(log_eta)
+    ctx = mcmc._FitContext(spec, kidney, augmented=False)
+    expb = np.exp(kidney.design_matrix @ state.beta)
+    cumhaz = ctx.cum_hazard(state.rates, _stats(ctx, state).overlap)
+    seen = []
+    real = mcmc.update_scalar_slice
+
+    def traced(logf, x0, rng, **kw):
+        def target(s):
+            seen.append((s, logf(s)))
+            return seen[-1][1]
+
+        return real(target, x0, rng, **kw)
+
+    monkeypatch.setattr(mcmc, "update_scalar_slice", traced)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ctx.update_eta(state, np.random.default_rng(1), expb, cumhaz)
+    assert any(v == -math.inf for s, v in seen if not -700.0 <= s <= 600.0)
+    assert 0.0 < state.eta < math.inf and np.isfinite(state.z).all()
 
 
 @pytest.mark.parametrize("augmented", [True, False], ids=["augmented", "marginal"])
@@ -1232,6 +1273,16 @@ def test_simple_family_chains_start_no_process(monkeypatch, forks):
     cfg = McmcConfig(n_chains=3, burn_in=10, n_iter=20, seed=4)
     got = run_chains(spec, data, cfg)
     _assert_same_chains(got, [run_chain(spec, data, cfg, chain_id=c) for c in (1, 2, 3)])
+    assert forks == []
+
+
+def test_without_fork_a_frailty_fit_runs_every_chain_in_the_caller(monkeypatch, forks):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert mcmc._usable_cpus() == 1
+    spec, data, cfg = _kidney_fit(FAMILY_GAMMA_CHAIN, 2)
+    got = run_chains(spec, data, cfg)
+    _assert_same_chains(got, [run_chain(spec, data, cfg, chain_id=c) for c in (1, 2)])
     assert forks == []
 
 

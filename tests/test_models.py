@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import inspect
 import math
 
@@ -15,6 +16,7 @@ from pexsurv.models import (
     FAMILY_SIMPLE,
     HyperParams,
     ModelSpec,
+    ParamState,
     default_grid,
     initial_state,
     joint_log_density,
@@ -217,6 +219,20 @@ def test_frailty_likelihood_degenerates_to_simple(kidney):
     assert a == pytest.approx(b, rel=1e-12)
 
 
+@pytest.mark.parametrize("augmented", [True, False], ids=["augmented", "marginal"])
+def test_likelihood_reads_a_time_on_a_cut_point_in_the_interval_it_closes(augmented):
+    # t = 2.0 closes I_1 (rate 1, H = 2); t = 2.5 lies in I_2 (rate 2, H = 3);
+    # the censored record scores a density only when augmented
+    data = SurvivalDataset([_event(1, 2.0), _event(2, 2.5), _censored(3, 3.0)])
+    spec = ModelSpec(FAMILY_SIMPLE, GRID4)
+    state = initial_state(spec, data)
+    state.rates = np.array([1.0, 2.0, 3.0, 4.0])
+    state.times = np.array([2.0, 2.5, 5.0])
+    # H(3) = 4 at the censoring time; H(5) = 10 at the working time, rate 3
+    want = math.log(2.0) + math.log(3.0) - 2.0 - 3.0 - 10.0 if augmented else math.log(2.0) - 9.0
+    assert log_likelihood(state, spec, data, augmented=augmented) == pytest.approx(want, rel=1e-12)
+
+
 def test_likelihood_factorizes_through_sufficient_stats(kidney, kidney_spec):
     # direct per-record log-likelihood == sum_j [d_j log l_j - l_j R_j]
     # plus a rate-free term sum_events log(w_e); checked at random states
@@ -237,6 +253,20 @@ def test_augmented_likelihood_scores_imputed_times(kidney, kidney_spec):
     aug = log_likelihood(state, kidney_spec, kidney, augmented=True)
     marg = log_likelihood(state, kidney_spec, kidney, augmented=False)
     assert aug != pytest.approx(marg)  # censored records enter as densities
+
+
+def test_param_state_copy_equals_the_original_and_shares_no_array(kidney, kidney_spec):
+    state = _random_kidney_state(kidney_spec, kidney, np.random.default_rng(5))
+    dup = state.copy()
+    for f in dataclasses.fields(ParamState):
+        a, b = getattr(state, f.name), getattr(dup, f.name)
+        if isinstance(a, np.ndarray):
+            assert not np.shares_memory(a, b), f.name
+            assert b.dtype == a.dtype and np.array_equal(a, b), f.name
+        else:
+            assert type(b) is type(a) and b == a, f.name
+    dup.rates[0] += 1.0
+    assert state.rates[0] != dup.rates[0]
 
 
 # -- prior ------------------------------------------------------------------------
