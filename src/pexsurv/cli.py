@@ -26,7 +26,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import astuple
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__
 from .data import load_kidney, read_dataset_csv
 from .data import SurvivalDataset, SurvivalRecord
-from .diagnostics import format_summary_table, summarize, write_summary_csv
+from .diagnostics import Summary, format_summary_table, summarize, write_summary_csv
 from .distribution import PiecewiseExponential, TimeGrid
 from .mcmc import McmcConfig, run_chains
 from .models import (
@@ -57,8 +57,10 @@ SCENARIOS = {
     "s3": (1.3, 0.8, 0.6, 0.3),
 }
 _SCENARIO_GRID = (0.0, 2.0, 3.0, 5.0)
-_RESULT_COLUMNS = ("rep", "scenario", "n", "parameter", "true", "mean", "median", "sd",
-                   "hpd_low", "hpd_high", "ess", "covered")
+_STATISTICS = tuple(f.name for f in fields(Summary)[1:])  # every field but the name
+_RESULT_COLUMNS = ("rep", "scenario", "n", "parameter", "true", *_STATISTICS, "covered")
+# fit's chain-layout flags and the McmcConfig field each one sets
+_LAYOUT_FLAGS = {"chains": "n_chains", "burnin": "burn_in", "iters": "n_iter", "thin": "thin"}
 
 
 class CliError(Exception):
@@ -148,13 +150,8 @@ def _cmd_fit(args) -> int:
         raise CliError(f"dataset {args.data} has no records")
     grid = _resolve_grid(args, data)
     spec = ModelSpec(family=_MODEL_NAMES[args.model], grid=grid)
-    config = McmcConfig(
-        n_chains=args.chains,
-        burn_in=args.burnin,
-        n_iter=args.iters,
-        thin=args.thin,
-        seed=args.seed,
-    )
+    layout = {flag: getattr(args, flag) for flag in _LAYOUT_FLAGS}
+    config = McmcConfig(seed=args.seed, **{_LAYOUT_FLAGS[f]: v for f, v in layout.items()})
     if config.n_iter // config.thin < 100:
         raise CliError("need at least 100 retained draws per chain (iters / thin >= 100)")
     out_dir = Path(args.out)
@@ -184,10 +181,7 @@ def _cmd_fit(args) -> int:
             "data": str(args.data),
             "m": args.m,
             "grid": list(grid.cut_points),
-            "chains": args.chains,
-            "burnin": args.burnin,
-            "iters": args.iters,
-            "thin": args.thin,
+            **layout,
         },
         {"seed": args.seed, "chain_ids": [c.meta["chain_id"] for c in chains]},
         {"sampling": sampling_s},
@@ -284,10 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--data", required=True, help="dataset CSV path, or 'kidney' for the bundled data")
     fit.add_argument("--m", type=int, default=10, help="number of grid intervals (with --grid equal)")
     fit.add_argument("--grid", default="equal", help="'equal' or explicit comma-separated cut points")
-    fit.add_argument("--chains", type=int, default=2)
-    fit.add_argument("--burnin", type=int, default=1000)
-    fit.add_argument("--iters", type=int, default=2000)
-    fit.add_argument("--thin", type=int, default=1)
+    for flag, name in _LAYOUT_FLAGS.items():
+        fit.add_argument(f"--{flag}", type=int, default=getattr(McmcConfig, name))
     fit.add_argument("--seed", type=int, required=True)
     fit.add_argument("--out", required=True, help="output directory")
     fit.set_defaults(func=_cmd_fit)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -36,7 +36,7 @@ class SchemaError(ValueError):
 
 @dataclass(frozen=True)
 class Summary:
-    """Posterior summary row for one monitored scalar."""
+    """Posterior summary row for one monitored scalar; each statistic is a Python float."""
 
     name: str
     mean: float
@@ -148,14 +148,11 @@ def summarize(chains, mass: float = 0.95) -> list[Summary]:
 
 
 def write_summary_csv(summaries, path) -> None:
+    _name, *stats = fields(Summary)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["parameter", "mean", "median", "sd", "hpd_low", "hpd_high", "ess"])
-        for s in summaries:
-            writer.writerow(
-                [s.name]
-                + [repr(float(v)) for v in (s.mean, s.median, s.sd, s.hpd_low, s.hpd_high, s.ess)]
-            )
+        writer = csv.writer(fh)  # csv writes a float as its shortest repr
+        writer.writerow(["parameter", *(f.name for f in stats)])
+        writer.writerows(map(astuple, summaries))
 
 
 def format_summary_table(summaries, mass: float = 0.95) -> str:

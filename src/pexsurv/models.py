@@ -30,6 +30,7 @@ marginal mode.
 from __future__ import annotations
 
 import math
+from copy import deepcopy
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -134,13 +135,7 @@ class ParamState:
         return 1.0 / self.eta
 
     def copy(self) -> "ParamState":
-        return ParamState(
-            rates=self.rates.copy(),
-            beta=self.beta.copy(),
-            z=self.z.copy(),
-            eta=self.eta,
-            times=self.times.copy(),
-        )
+        return deepcopy(self)
 
 
 @dataclass(frozen=True)
@@ -225,12 +220,10 @@ def log_likelihood(
     times = _working_times(state, data, augmented)
     w = record_weights(state, spec, data)
     pe = PiecewiseExponential(spec.grid, state.rates)
-    cumhaz = pe.cum_hazard(times)
-    j = spec.grid.interval_index(times) - 1
     with np.errstate(divide="ignore"):
-        log_haz = np.log(state.rates[j] * w)
+        log_haz = np.log(pe.hazard(times) * w)
     dens = np.ones(data.n_records, dtype=bool) if augmented else data.event_flags
-    return float(np.sum(log_haz[dens]) - np.sum(w * cumhaz))
+    return float(np.sum(log_haz[dens]) - np.sum(w * pe.cum_hazard(times)))
 
 
 def _gamma_log_density(x, shape, rate):
