@@ -57,8 +57,8 @@ SCENARIOS = {
     "s3": (1.3, 0.8, 0.6, 0.3),
 }
 _SCENARIO_GRID = (0.0, 2.0, 3.0, 5.0)
-_STATISTICS = tuple(f.name for f in fields(Summary)[1:])  # every field but the name
-_RESULT_COLUMNS = ("rep", "scenario", "n", "parameter", "true", *_STATISTICS, "covered")
+_RESULT_COLUMNS = ("rep", "scenario", "n", "parameter", "true",
+                   *(f.name for f in fields(Summary)[1:]), "covered")
 # fit's chain-layout flags and the McmcConfig field each one sets
 _LAYOUT_FLAGS = {"chains": "n_chains", "burnin": "burn_in", "iters": "n_iter", "thin": "thin"}
 

@@ -148,10 +148,9 @@ def summarize(chains, mass: float = 0.95) -> list[Summary]:
 
 
 def write_summary_csv(summaries, path) -> None:
-    _name, *stats = fields(Summary)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)  # csv writes a float as its shortest repr
-        writer.writerow(["parameter", *(f.name for f in stats)])
+        writer.writerow(["parameter", *(f.name for f in fields(Summary)[1:])])
         writer.writerows(map(astuple, summaries))
 
 

@@ -198,7 +198,7 @@ def test_a_dataset_is_never_equal_to_another_type():
     record = SurvivalRecord(1, 1, 2.0, 1)
     ds = SurvivalDataset([record])
     assert ds.__eq__([record]) is NotImplemented
-    assert ds != [record] and ds != "dataset" and not ds == None  # noqa: E711
+    assert ds != [record] and ds != "dataset"
 
 
 def test_dataset_keeps_columns_not_records():
