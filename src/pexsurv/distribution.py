@@ -241,6 +241,30 @@ class TimeGrid:
         out -= self._cuts[:, None]
         return np.maximum(out, 0.0, out=out).T
 
+    def interval_totals(self, times, events):
+        """Per-interval event counts ``d`` and exposures ``R`` of unit-weight records.
+
+        ``R[j]`` sums the overlaps of (0, t] with I_j over ``times``, the
+        entries of one column of :meth:`exposures`; ``d[j]`` counts the
+        times flagged in the boolean ``events`` that lie in I_j, as the
+        number of them above a_j less the number above a_{j+1}.  Both are
+        float arrays of length m.  One interval at a time is summed in one
+        reused ``len(times)`` buffer, so no ``(m, len(times))`` array is
+        built.  Times outside the open support raise ``ValueError``.
+        """
+        t, _ = _prep_times(times)
+        buf, flag = np.empty_like(t), np.empty(t.shape, dtype=bool)
+        above, risk = [], np.empty(self.m)
+        for j, (a, b) in enumerate(zip(self._cuts, self._uppers)):
+            np.greater(t, a, out=flag)
+            above.append(np.count_nonzero(np.logical_and(flag, events, out=flag)))
+            np.minimum(t, b, out=buf)
+            buf -= a
+            risk[j] = np.maximum(buf, 0.0, out=buf).sum()
+        d = np.array(above, dtype=float)
+        d[:-1] -= above[1:]
+        return d, risk
+
 
 class PiecewiseExponential:
     """PE(rates, grid) distribution with cached cumulative-hazard ladder.
@@ -280,10 +304,13 @@ class PiecewiseExponential:
     # -- evaluation --------------------------------------------------------
 
     def _locate(self, arr):
-        """0-based interval index and H at validated times, one lookup each."""
-        j = np.searchsorted(self.cuts, arr, side="left") - 1
+        """0-based interval index of validated times, one lookup each."""
+        return np.searchsorted(self.cuts, arr, side="left") - 1
+
+    def _cum_at(self, j, arr):
+        """H at validated times ``arr`` in their intervals ``j``."""
         with np.errstate(over="ignore"):
-            return j, self._cum[j] + self.rates[j] * (arr - self.cuts[j])
+            return self._cum[j] + self.rates[j] * (arr - self.cuts[j])
 
     def _invert(self, w):
         """Smallest t with H(t) >= w, for checked levels ``w >= 0``."""
@@ -291,33 +318,34 @@ class PiecewiseExponential:
             return inverse_cum_hazard_at(self.cuts, self._cum, self.rates, w)
 
     def _pointwise(self, t, evaluate):
-        """``evaluate(j, H)`` at checked times; a float for a scalar, else an array."""
+        """``evaluate(j, x)`` at the checked times ``x``; a float for a scalar, else an array."""
         arr, scalar = _prep_times(t)
-        out = evaluate(*self._locate(arr))
+        out = evaluate(self._locate(arr), arr)
         return float(out) if scalar else out
 
-    def _log_f(self, j, h):
+    def _log_f(self, j, x):
+        h = self._cum_at(j, x)
         with np.errstate(divide="ignore"):  # a zero rate reads -inf
             return np.log(self.rates[j]) - h
 
     def hazard(self, t):
-        return self._pointwise(t, lambda j, h: self.rates[j])
+        return self._pointwise(t, lambda j, x: self.rates[j])
 
     def cum_hazard(self, t):
-        return self._pointwise(t, lambda j, h: h)
+        return self._pointwise(t, self._cum_at)
 
     def survival(self, t):
-        return self._pointwise(t, lambda j, h: np.exp(-h))
+        return self._pointwise(t, lambda j, x: np.exp(-self._cum_at(j, x)))
 
     def cdf(self, t):
-        return self._pointwise(t, lambda j, h: -np.expm1(-h))
+        return self._pointwise(t, lambda j, x: -np.expm1(-self._cum_at(j, x)))
 
     def log_density(self, t):
         """Log density; -inf on intervals with zero rate (density truly zero)."""
         return self._pointwise(t, self._log_f)
 
     def density(self, t):
-        return self._pointwise(t, lambda j, h: np.exp(self._log_f(j, h)))
+        return self._pointwise(t, lambda j, x: np.exp(self._log_f(j, x)))
 
     # -- inversion ---------------------------------------------------------
 
@@ -377,7 +405,7 @@ class PiecewiseExponential:
                 raise ValueError("upper bound must exceed the lower bound")
 
         # both bounds now lie in the open support (or are 0 / absent)
-        h_lo = float(self._locate(lower)[1]) if lower else 0.0
+        h_lo = float(self._cum_at(self._locate(lower), lower)) if lower else 0.0
         if h_lo == np.inf:  # S(lower) is 0.0: no float mass above the bound
             raise UnreachableMassError(f"H at the lower bound {lower:g} is infinite; no mass above it")
         if upper is None:
@@ -388,7 +416,7 @@ class PiecewiseExponential:
                 )
             span = np.inf
         else:
-            span = float(self._locate(upper)[1]) - h_lo
+            span = float(self._cum_at(self._locate(upper), upper)) - h_lo
             if not span > 0.0:
                 raise UnreachableMassError("no probability mass inside the requested bounds")
 

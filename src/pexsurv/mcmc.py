@@ -6,9 +6,11 @@ slice kernel ``update_scalar_slice``.
 The simple family's rates are independent a posteriori: given the events
 ``d`` and the exposure ``R`` up to each record's observed or censoring time
 (censored records enter through their survival term), lambda_j ~ Gamma(a +
-d_j, b + R_j).  ``run_chains`` computes ``(d, R)`` once per fit and every
-chain takes its ``n_iter // thin`` exact, independent draws from it in one
-call: burn-in and thinning would only discard draws as good as those kept.
+d_j, b + R_j).  ``run_chains`` takes ``(d, R)`` once per fit from
+``TimeGrid.interval_totals``, which sums the records' times and event flags
+one interval at a time and builds no (m, n) overlap array, and every chain
+takes its ``n_iter // thin`` exact, independent draws from it in one call:
+burn-in and thinning would only discard draws as good as those kept.
 
 The frailty families run a Gibbs sweep.  Every block of it is a method of
 one private fit context, built once per chain, which holds the only
@@ -634,12 +636,14 @@ def run_chain(
 
     A frailty chain starts from ``init`` (by default ``initial_state``), and
     any update failure aborts it with the iteration index attached.  A simple
-    chain's ``n_iter // thin`` draws are independent of each other and of
-    ``init``; its ``wall_time_s`` covers them, not the ``(d, R)`` they use.
+    chain takes its ``(d, R)`` from one ``TimeGrid.interval_totals`` call,
+    with no ``(m, n)`` overlap array; its ``n_iter // thin`` draws are
+    independent of each other and of ``init``, and its ``wall_time_s``
+    covers them, not the ``(d, R)`` they use.
     """
     if not spec.is_frailty:
-        stats = sufficient_stats(None, spec, data, augmented=False)
-        return _conjugate_chain(spec, config, chain_id, stats)
+        d, risk = spec.grid.interval_totals(data.marginal_times, data.event_flags)
+        return _conjugate_chain(spec, config, chain_id, d, risk)
     state = init.copy() if init is not None else initial_state(spec, data)
     rng = _ChainSource(chain_rng(config.seed, chain_id))
     kept = config.n_iter // config.thin
@@ -662,17 +666,18 @@ def run_chain(
     return _chain_store(spec, config, chain_id, ctx.monitor_names, buf, widths, start)
 
 
-def _conjugate_chain(spec, config, chain_id, stats) -> ChainStore:
-    """One simple-family chain of exact Gamma(a + d, b + R) draws from ``stats``.
+def _conjugate_chain(spec, config, chain_id, d, risk) -> ChainStore:
+    """One simple-family chain of exact Gamma(a + d, b + R) draws, R being ``risk``.
 
-    ``stats`` is the fit's marginal-mode ``(d, R)``, which counts censored
+    ``(d, R)`` is the fit's ``TimeGrid.interval_totals`` of the records'
+    observed or censoring times and event flags, which counts censored
     records through their survival term, so no draw moves them.  The
     ``n_iter // thin`` rows come from one call on ``chain_rng(config.seed,
     chain_id)``; no burn-in or thinned-out row is drawn.
     """
     gen = chain_rng(config.seed, chain_id)
     h, m = spec.hyper, spec.grid.m
-    shape, scale = h.gamma_shape + stats.d, 1.0 / (h.gamma_rate + stats.exposure)
+    shape, scale = h.gamma_shape + d, 1.0 / (h.gamma_rate + risk)
     start = time.perf_counter()
     rows = gen.gamma(shape, scale, size=(config.n_iter // config.thin, m))
     names = [f"lambda[{j}]" for j in range(1, m + 1)]
@@ -704,7 +709,8 @@ def run_chains(
     """Run ``config.n_chains`` independent chains (ids 1..n), in id order.
 
     The simple family's chains run one after another in the calling process,
-    all from one marginal-mode ``(d, R)``, computed once per fit; each
+    all from one ``(d, R)``, taken once per fit by ``TimeGrid.interval_totals``
+    from the records' observed or censoring times and event flags; each
     chain's ``n_iter // thin`` draws are those ``run_chain`` gives for its id,
     whatever ``burn_in`` is, and its ``wall_time_s`` covers its own draws
     only, not the shared ``(d, R)``.
@@ -723,8 +729,8 @@ def run_chains(
     """
     chain_ids = range(1, config.n_chains + 1)
     if not spec.is_frailty:
-        stats = sufficient_stats(None, spec, data, augmented=False)
-        return [_conjugate_chain(spec, config, c, stats) for c in chain_ids]
+        d, risk = spec.grid.interval_totals(data.marginal_times, data.event_flags)
+        return [_conjugate_chain(spec, config, c, d, risk) for c in chain_ids]
     daemonic = multiprocessing.current_process().daemon
     n_procs = 1 if daemonic else min(config.n_chains, _usable_cpus())
     # Forked, not spawned: a worker starts with this process's modules and

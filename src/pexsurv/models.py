@@ -179,7 +179,7 @@ def _working_times(state, data, augmented):
 
 
 def sufficient_stats(
-    state: ParamState | None, spec: ModelSpec, data: SurvivalDataset, augmented: bool = True
+    state: ParamState, spec: ModelSpec, data: SurvivalDataset, augmented: bool = True
 ) -> SufficientStats:
     """Counts and weighted exposures under which the rates factorize.
 
@@ -187,7 +187,8 @@ def sufficient_stats(
     marginal mode only true events count while censored records still
     accumulate exposure up to their censoring time.  Each record's interval
     comes from its exposures, as the last one it is exposed in.  The simple
-    family's marginal mode reads nothing of ``state``, which may be None.
+    family's sampler does not call this: its unit-weight marginal ``(d, R)``
+    comes from ``TimeGrid.interval_totals``, without the overlap array.
     """
     overlap = spec.grid.exposures(_working_times(state, data, augmented)).T  # (m, n)
     exposed = overlap > 0.0

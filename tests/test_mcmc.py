@@ -899,14 +899,13 @@ def test_reused_statistics_give_the_per_sweep_reference_draws(data, impute):
         cfg = McmcConfig(n_chains=1, burn_in=burn_in, n_iter=30, thin=thin, seed=19, impute=impute)
         store = run_chain(spec, data, cfg)
 
-        # reference loop: one Gamma draw per retained draw, (d, R) recomputed each time
+        # reference loop: one Gamma draw per retained draw, the fit's own (d, R)
+        # recomputed each time
         rng = chain_rng(19, 1)
-        state = initial_state(spec, data)
         ref = []
         for _ in range(cfg.n_iter // thin):
-            st = sufficient_stats(state, spec, data, augmented=False)
-            state.rates = rng.gamma(h.gamma_shape + st.d, 1.0 / (h.gamma_rate + st.exposure))
-            ref.append(state.rates)
+            d, risk = spec.grid.interval_totals(data.marginal_times, data.event_flags)
+            ref.append(rng.gamma(h.gamma_shape + d, 1.0 / (h.gamma_rate + risk)))
         got = np.column_stack([store.draws[f"lambda[{j}]"] for j in range(1, GRID4.m + 1)])
         assert np.array_equal(got, np.array(ref)), (thin, burn_in)
 
@@ -937,16 +936,19 @@ def test_simple_draws_depend_on_burn_in_and_thin_only_through_their_count():
     ids=["simple-fixed-times", "simple-imputing", "gamma-chain", "gamma-chain-imputing"],
 )
 def test_sufficient_stats_calls_per_fit(monkeypatch, family, data):
-    # Every chain calls it once, censored or not, with the default
-    # impute=True: the simple chain for its (d, R), a frailty chain for the
-    # exposures and counts that its sweeps keep current.
-    calls = _count_sufficient_stats(monkeypatch)
+    # Every chain takes its statistics once, censored or not, with the
+    # default impute=True: a frailty chain calls sufficient_stats for the
+    # exposures and counts that its sweeps keep current; the simple chain
+    # never calls it and takes its (d, R) from interval_totals instead.
+    calls = _count_calls(monkeypatch, mcmc, "sufficient_stats")
+    totals = _count_calls(monkeypatch, TimeGrid, "interval_totals")
     cfg = McmcConfig(n_chains=2, burn_in=4, n_iter=6, seed=3)
     # run_chain per id: run_chains runs a frailty fit's later chains in worker
     # processes, whose calls this process does not see.
     for c in range(1, cfg.n_chains + 1):
         run_chain(ModelSpec(family, GRID4), data, cfg, chain_id=c)
-    assert len(calls) == cfg.n_chains
+    want = (0, cfg.n_chains) if family == FAMILY_SIMPLE else (cfg.n_chains, 0)
+    assert (len(calls), len(totals)) == want
 
 
 @pytest.mark.parametrize("impute", [True, False], ids=["imputing", "analytic"])
@@ -985,16 +987,16 @@ def test_cached_exposures_and_counts_never_go_stale(monkeypatch, family, impute)
     assert len(set(np.bincount(data.subject_positions))) == 3 and (~data.event_flags).any()
 
 
-def _count_sufficient_stats(monkeypatch):
-    """The calls to ``mcmc.sufficient_stats`` from now on, one entry each."""
+def _count_calls(monkeypatch, owner, name):
+    """The calls to ``owner.name`` (a module function or a method) from now on, one entry each."""
     calls = []
-    real = mcmc.sufficient_stats
+    real = getattr(owner, name)
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(mcmc, "sufficient_stats", counting)
+    monkeypatch.setattr(owner, name, counting)
     return calls
 
 
@@ -1007,10 +1009,11 @@ def _count_sufficient_stats(monkeypatch):
 def test_simple_fit_takes_its_statistics_once_and_times_each_chains_draws(
     monkeypatch, data, n_chains
 ):
-    calls = _count_sufficient_stats(monkeypatch)
+    calls = _count_calls(monkeypatch, mcmc, "sufficient_stats")
+    totals = _count_calls(monkeypatch, TimeGrid, "interval_totals")
     cfg = McmcConfig(n_chains=n_chains, burn_in=4, n_iter=6, seed=3)
     stores = run_chains(ModelSpec(FAMILY_SIMPLE, GRID4), data, cfg)
-    assert len(calls) == 1
+    assert (len(calls), len(totals)) == (0, 1)
     assert [s.meta["chain_id"] for s in stores] == list(range(1, n_chains + 1))
     for store in stores:
         wall = store.meta["wall_time_s"]
@@ -1036,6 +1039,23 @@ def test_a_long_thinned_simple_chain_holds_a_block_and_its_retained_draws():
     row = 8 * GRID4.m
     assert peak < 2 * store.n_draws * row + 65_536
     assert peak < (cfg.burn_in + cfg.n_iter) * row / 10
+
+
+def test_a_simple_fit_peaks_below_one_interval_by_record_array():
+    # (d, R) are summed one interval at a time in one n-length buffer, so the
+    # fit never holds an (m, n) float array, as the overlaps of
+    # sufficient_stats would be.  The untraced first run fills the caches.
+    spec = ModelSpec(FAMILY_SIMPLE, GRID4)
+    data = _partially_censored_dataset(S1, 20_000, 43)
+    cfg = McmcConfig(n_chains=2, burn_in=0, n_iter=10, seed=6)
+    run_chains(spec, data, cfg)
+    tracemalloc.start()
+    try:
+        run_chains(spec, data, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * GRID4.m * data.n_records
 
 
 @pytest.mark.parametrize(

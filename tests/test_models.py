@@ -168,6 +168,32 @@ def test_sufficient_stats_equal_the_record_major_reference(augmented, n):
     assert got.exposure.shape == (GRID4.m,)
 
 
+@pytest.mark.parametrize(
+    "grid, n, censored_every",
+    [(GRID4, 30, 4), (GRID4, 30, 1), (GRID4, 0, 4), (TimeGrid((0.0,)), 30, 4)],
+    ids=["edges", "all-censored", "empty", "one-interval"],
+)
+def test_interval_totals_equal_the_record_major_reference(grid, n, censored_every):
+    # the simple fit's (d, R): unit weights, marginal mode
+    records = [
+        SurvivalRecord(i + 1, 1, None, 0, t) if i % censored_every == 0 else _event(i + 1, t)
+        for i, t in enumerate(np.resize(_EDGE_TIMES, n))
+    ]
+    data = SurvivalDataset(records)
+    spec = ModelSpec(FAMILY_SIMPLE, grid)
+    d, risk = grid.interval_totals(data.marginal_times, data.event_flags)
+    want_d, want_r = _reference_stats(initial_state(spec, data), spec, data, augmented=False)
+    assert np.array_equal(d, want_d) and d.dtype == want_d.dtype
+    np.testing.assert_allclose(risk, want_r, rtol=1e-12, atol=0.0)
+    assert risk.shape == (grid.m,) and risk.dtype == float
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.5, np.inf, np.nan])
+def test_interval_totals_reject_times_outside_the_support(bad):
+    with pytest.raises(ValueError, match=r"^time points must lie in the open support \(0, \+inf\)$"):
+        GRID4.interval_totals([1.5, bad, 4.0], [True, False, True])
+
+
 @pytest.mark.parametrize("augmented", [True, False], ids=["augmented", "marginal"])
 @pytest.mark.parametrize("family", [FAMILY_SIMPLE, FAMILY_GAMMA_CHAIN])
 def test_sufficient_stats_are_summed_from_the_overlap_they_return(kidney, family, augmented):
