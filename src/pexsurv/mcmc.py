@@ -37,7 +37,10 @@ generator and state exclusively.  A chain's draws therefore do not depend on
 the process that runs it: ``run_chains`` shares a frailty fit's chain ids
 equally among the calling process and forked workers, at most one process per
 usable CPU, and runs the simple family's chains one after another in the
-calling process.
+calling process.  Only a frailty fit of two or more chains imports the
+worker machinery (``multiprocessing``), where it may fork: importing the
+package, a simple-family fit, ``pexsurv simulate`` and ``pexsurv dist``
+never load it.
 
 Inputs are validated once, by the public constructors (``TimeGrid``,
 ``PiecewiseExponential``, ``SurvivalRecord``, ``ModelSpec``); the sweep then
@@ -78,7 +81,6 @@ import csv
 import itertools
 import json
 import math
-import multiprocessing
 import os
 import time
 from dataclasses import asdict, dataclass, field
@@ -715,28 +717,36 @@ def run_chains(
     whatever ``burn_in`` is, and its ``wall_time_s`` covers its own draws
     only, not the shared ``(d, R)``.
 
-    A frailty fit's chains run in ``n_procs`` processes: one for a daemonic
-    calling process, else ``min(n_chains, usable CPUs)``, where a platform
-    without ``fork`` or ``os.sched_getaffinity`` has one usable CPU.  Process
-    ``p`` runs chain ids ``p + 1, p + 1 + n_procs, ...`` in turn; the calling
-    process is ``p = 0``, and the other ``n_procs - 1`` are workers forked
-    from it, each of which sends its stores back through a pipe.  With one
-    process nothing is forked.  Each chain's draws are the same wherever it
-    runs; its ``wall_time_s`` is the time it took in the process that ran
-    it.  A worker's ``ChainAbortError`` is raised here with its message, a
-    worker that exits without a result raises one naming its chains, and
-    every worker is reaped before this returns or raises.
+    A frailty fit's chains run in ``n_procs`` processes: one for a fit of one
+    chain or a daemonic calling process, else ``min(n_chains, usable CPUs)``,
+    where a platform without ``fork`` or ``os.sched_getaffinity`` has one
+    usable CPU.  Process ``p`` runs chain ids ``p + 1, p + 1 + n_procs, ...``
+    in turn; the calling process is ``p = 0``, and the other ``n_procs - 1``
+    are workers forked from it, each of which sends its stores back through a
+    pipe.  With one process nothing is forked.  Only a frailty fit of two or
+    more chains imports ``multiprocessing``, where it may fork; a simple fit,
+    and so ``pexsurv simulate`` and ``pexsurv dist``, never loads it.  Each
+    chain's draws are the same wherever it runs; its ``wall_time_s`` is the
+    time it took in the process that ran it.  A worker's ``ChainAbortError``
+    is raised here with its message, a worker that exits without a result
+    raises one naming its chains, and every worker is reaped before this
+    returns or raises.
     """
     chain_ids = range(1, config.n_chains + 1)
     if not spec.is_frailty:
         d, risk = spec.grid.interval_totals(data.marginal_times, data.event_flags)
         return [_conjugate_chain(spec, config, c, d, risk) for c in chain_ids]
-    daemonic = multiprocessing.current_process().daemon
-    n_procs = 1 if daemonic else min(config.n_chains, _usable_cpus())
-    # Forked, not spawned: a worker starts with this process's modules and
-    # fit inputs already in memory, so nothing is imported or pickled on the
-    # way in.
-    fork = multiprocessing.get_context("fork") if n_procs > 1 else None
+    n_procs, fork = 1, None
+    if config.n_chains > 1:
+        import multiprocessing  # here, so that only a fit that may fork loads it
+
+        if not multiprocessing.current_process().daemon:
+            n_procs = min(config.n_chains, _usable_cpus())
+        if n_procs > 1:
+            # Forked, not spawned: a worker starts with this process's modules
+            # and fit inputs already in memory, so nothing is imported or
+            # pickled on the way in.
+            fork = multiprocessing.get_context("fork")
     workers = []
     try:
         for p in range(1, n_procs):
@@ -760,6 +770,8 @@ def run_chains(
 
 def _usable_cpus() -> int:
     """CPUs this process may run on; 1 where fork or the affinity mask is missing."""
+    import multiprocessing  # here, so that only a fit that may fork loads it
+
     if not hasattr(os, "sched_getaffinity") or "fork" not in multiprocessing.get_all_start_methods():
         return 1
     return len(os.sched_getaffinity(0))

@@ -7,10 +7,13 @@ import multiprocessing
 import os
 import re
 import signal
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1420,6 +1423,53 @@ def test_chains_run_one_by_one_inside_a_daemonic_process(monkeypatch):
     assert not proc.is_alive()
     assert not isinstance(got, str), got
     _assert_same_chains(got, [run_chain(spec, data, cfg, chain_id=c) for c in (1, 2)])
+
+
+_WORKER_MACHINERY_SCRIPT = """
+import sys
+
+def loaded():
+    return "multiprocessing" in sys.modules
+
+import pexsurv
+from pexsurv import FAMILY_GAMMA_CHAIN, FAMILY_SIMPLE, cli
+steps = {"import pexsurv": loaded()}
+grid, data = pexsurv.TimeGrid((0.0, 100.0, 300.0)), pexsurv.load_kidney()
+
+def fit(family, n_chains):
+    cfg = pexsurv.McmcConfig(n_chains=n_chains, burn_in=2, n_iter=3, seed=1)
+    assert len(pexsurv.run_chains(pexsurv.ModelSpec(family, grid), data, cfg)) == n_chains
+    return loaded()
+
+steps["a 2-chain simple fit"] = fit(FAMILY_SIMPLE, 2)
+assert cli.main(["dist", "eval", "--grid", "0,2", "--rates", "0.5,1", "--t", "3"]) == 0
+steps["dist eval"] = loaded()
+out = sys.argv[1]
+assert cli.main(["simulate", "--scenario", "s1", "--n", "50", "--reps", "1", "--seed", "3", "--out", out]) == 0
+steps["simulate"] = loaded()
+steps["a 1-chain frailty fit"] = fit(FAMILY_GAMMA_CHAIN, 1)
+steps["a 2-chain frailty fit"] = fit(FAMILY_GAMMA_CHAIN, 2)
+print(steps)
+"""
+
+
+def test_only_a_fit_that_may_fork_loads_multiprocessing(tmp_path):
+    # A fresh interpreter: this one imported multiprocessing long ago.
+    paths = [str(Path(mcmc.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    run = subprocess.run(
+        [sys.executable, "-c", _WORKER_MACHINERY_SCRIPT, str(tmp_path / "sim")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert ast.literal_eval(run.stdout.strip().splitlines()[-1]) == {
+        "import pexsurv": False,
+        "a 2-chain simple fit": False,
+        "dist eval": False,
+        "simulate": False,
+        "a 1-chain frailty fit": False,
+        "a 2-chain frailty fit": True,
+    }
 
 
 def _pooled_mean_and_mcse(chains, name):
