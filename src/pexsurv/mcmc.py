@@ -44,13 +44,14 @@ never load it.
 
 Inputs are validated once, by the public constructors (``TimeGrid``,
 ``PiecewiseExponential``, ``SurvivalRecord``, ``ModelSpec``); the sweep then
-builds no distribution object.  A frailty chain takes the interval overlaps
-E of its working times and the counts d once, from one ``sufficient_stats``
-call at its initial state; every sweep reads R = E (z e^{X beta}) and
-H = lambda E from them.  Only imputation moves a working time, and it
-rewrites the moved records' overlaps and counts; only its inverse draw reads
-the ladder of the rates, through the plain functions of
-:mod:`pexsurv.distribution`.
+builds no distribution object.  A frailty chain's fit context is built whole
+from its starting state: the constructor caches the interval overlaps E of
+the working times and the counts d, each counted record in its
+``TimeGrid.interval_index``, from one ``sufficient_stats`` call, and every
+sweep reads R = E (z e^{X beta}) and H = lambda E from them.  Only
+imputation moves a working time, and it rewrites the moved records'
+overlaps and counts; only its inverse draw reads the ladder of the rates,
+through the plain functions of :mod:`pexsurv.distribution`.
 
 Scalar slice sampling follows the stepping-out / shrinkage scheme: the
 bracket grows by its width up to 50 total expansions (an exceeded cap simply
@@ -260,17 +261,18 @@ def update_scalar_slice(log_density, x0, rng, width=1.0):
 class _FitContext:
     """Precomputed data views shared by every sweep of one frailty fit, and its blocks.
 
-    ``augmented`` is the likelihood mode (``McmcConfig.impute``).  Grid, data
-    and specification were validated by their constructors.  H is the rates
-    times interval overlaps: ``overlap``, the interval-major (m, n) E at the
-    working times that ``track`` caches once per chain and ``impute`` keeps
-    current, and ``bound_overlap`` at the censoring bounds, which never move;
-    imputation inverts H on the ladder over the grid's ``cuts``.  Every block
-    slices through ``slice_update`` and draws by ``random()``,
+    ``augmented`` is the likelihood mode (``McmcConfig.impute``) and
+    ``state`` the chain's starting state.  Grid, data and specification were
+    validated by their constructors.  H is the rates times interval
+    overlaps: ``overlap``, the interval-major (m, n) E at the working times,
+    cached with the counts ``d`` by the constructor and kept current by
+    ``impute``, and ``bound_overlap`` at the censoring bounds, which never
+    move; imputation inverts H on the ladder over the grid's ``cuts``.
+    Every block slices through ``slice_update`` and draws by ``random()``,
     ``uniform(size=)`` and ``standard_gamma`` only.
     """
 
-    def __init__(self, spec: ModelSpec, data: SurvivalDataset, augmented: bool):
+    def __init__(self, spec: ModelSpec, data: SurvivalDataset, augmented: bool, state: ParamState):
         self.spec = spec
         self.data = data
         self.augmented = augmented
@@ -338,23 +340,17 @@ class _FitContext:
         self.slice_names = self.monitor_names[:-1] + ["frailty_scale"]
         self.slice_widths = [1.0] * len(self.slice_names)
         self.jump_sums = [0.0] * len(self.slice_names)
-
-    def track(self, state):
-        """Cache the interval overlaps E and the counts d of ``state``'s working times.
-
-        One ``sufficient_stats`` call gives them, at the chain's initial
-        state.  No event time and no censoring bound ever moves, so only
-        ``impute`` rewrites them: the columns and counts of the censored
-        records, as it moves their times.
-        """
-        stats = sufficient_stats(state, self.spec, self.data, augmented=self.augmented)
+        # E and d at the starting state's working times, from one
+        # sufficient_stats call.  No event time and no censoring bound ever
+        # moves, so only impute rewrites them, for the censored records.
+        stats = sufficient_stats(state, spec, data, augmented=augmented)
         self.overlap, self.d = stats.overlap, stats.d
-        if self.augmented:  # the counts of the records whose times never move
+        if augmented:  # the counts of the records whose times never move
             cens_last = self.last_interval(state.times[self.cens_idx])
             self.fixed_d = stats.d - np.bincount(cens_last, minlength=self.m)
 
     def last_interval(self, times):
-        """0-based index of the last interval each time overlaps, as ``sufficient_stats`` counts."""
+        """0-based ``TimeGrid.interval_index`` of each time, without its check of the times."""
         return np.searchsorted(self.cuts, times, "left") - 1
 
     def freeze_widths(self, sweeps):
@@ -384,17 +380,15 @@ class _FitContext:
             return f"imputed time of censored {where}, censored at {r.censor_time:g})"
         return f"censoring time of {where}, censored at {r.censor_time:g})"
 
-    def cum_hazard(self, rates, overlap):
+    def cum_hazard(self, rates):
         """Baseline cumulative hazard of every record at its working time.
 
-        H is ``rates @ overlap``, ``overlap`` the working times' interval
-        overlaps (the sweep's cached E, laid out as
-        ``SufficientStats.overlap``), so the rate of an interval that no
-        record reaches meets only zeros.  A value that is not finite
-        aborts the sweep with an error that names the record.
+        H is ``rates @ self.overlap``, the cached E, so the rate of an
+        interval that no record reaches meets only zeros.  A value that is
+        not finite aborts the sweep with an error that names the record.
         """
         with np.errstate(over="ignore"):  # checked below
-            out = rates @ overlap
+            out = rates @ self.overlap
         if not np.isfinite(out).all():
             bad = int(np.flatnonzero(~np.isfinite(out))[0])
             raise FloatingPointError(f"cumulative hazard at the {self.describe_record(bad)} is not finite")
@@ -582,7 +576,7 @@ class _FitContext:
     # -- full sweep and monitoring -----------------------------------------
 
     def sweep(self, state, rng):
-        """One Gibbs sweep; ``track`` has cached the state's exposures."""
+        """One Gibbs sweep on the constructor's E and d, which ``impute`` keeps current."""
         if self.augmented and self.cens_idx.size:
             self.impute(state, rng)
         # No working time moves after imputation, and beta is fixed until
@@ -591,7 +585,7 @@ class _FitContext:
         # z e^{x' beta} H as it is.
         expb = np.exp(self.X @ state.beta)
         self.update_rates(state, rng, self.d, self.overlap @ (expb * state.z[self.subj]))
-        cumhaz = self.cum_hazard(state.rates, self.overlap)
+        cumhaz = self.cum_hazard(state.rates)
         self.update_eta(state, rng, expb, cumhaz)
         weight = state.z[self.subj] * expb * cumhaz
         self.update_scale(state, rng)
@@ -650,8 +644,7 @@ def run_chain(
     rng = _ChainSource(chain_rng(config.seed, chain_id))
     kept = config.n_iter // config.thin
     start = time.perf_counter()
-    ctx = _FitContext(spec, data, config.impute)
-    ctx.track(state)
+    ctx = _FitContext(spec, data, config.impute, state)
     buf, row = np.empty((kept, len(ctx.monitor_names))), 0
     for it in range(config.burn_in + config.n_iter):
         if it == config.burn_in:

@@ -140,8 +140,8 @@ class ParamState:
 
 @dataclass(frozen=True)
 class SufficientStats:
-    """Per-interval counts ``d`` and weighted time at risk ``exposure``, both
-    summed from ``overlap``, the working times' ``grid.exposures(times).T``."""
+    """Per-interval counts ``d`` and weighted time at risk ``exposure``, the
+    latter summed from ``overlap``, the working times' ``grid.exposures(times).T``."""
 
     d: np.ndarray
     exposure: np.ndarray
@@ -185,19 +185,15 @@ def sufficient_stats(
 
     In augmented mode every record's working time counts as an event; in
     marginal mode only true events count while censored records still
-    accumulate exposure up to their censoring time.  Each record's interval
-    comes from its exposures, as the last one it is exposed in.  The simple
+    accumulate exposure up to their censoring time.  A counted record's
+    interval is ``TimeGrid.interval_index`` of its working time.  The simple
     family's sampler does not call this: its unit-weight marginal ``(d, R)``
     comes from ``TimeGrid.interval_totals``, without the overlap array.
     """
-    overlap = spec.grid.exposures(_working_times(state, data, augmented)).T  # (m, n)
-    exposed = overlap > 0.0
-    if not augmented:
-        exposed &= data.event_flags
-    # records whose last interval is I_j: those exposed in I_j less those in I_{j+1}
-    counts = np.count_nonzero(exposed, axis=1)
-    d = counts.astype(float)
-    d[:-1] -= counts[1:]
+    times = _working_times(state, data, augmented)
+    overlap = spec.grid.exposures(times).T  # (m, n)
+    counted = times if augmented else times[data.event_flags]
+    d = np.bincount(spec.grid.interval_index(counted) - 1, minlength=spec.grid.m).astype(float)
     return SufficientStats(d, overlap @ record_weights(state, spec, data), overlap)
 
 

@@ -220,16 +220,9 @@ def _stats(ctx, state):
     return sufficient_stats(state, ctx.spec, ctx.data, augmented=ctx.augmented)
 
 
-def _tracked(spec, data, augmented, state):
-    """A fit context that caches the exposures of ``state``, as ``run_chain`` builds it."""
-    ctx = mcmc._FitContext(spec, data, augmented)
-    ctx.track(state)
-    return ctx
-
-
 def _record_weights(ctx, state):
     """Each record's z e^{x' beta} H at the state, as the sweep hands them on."""
-    cumhaz = ctx.cum_hazard(state.rates, _stats(ctx, state).overlap)
+    cumhaz = ctx.cum_hazard(state.rates)
     return state.z[ctx.subj] * np.exp(ctx.X @ state.beta) * cumhaz
 
 
@@ -301,8 +294,8 @@ def test_frailty_update_prior_limit():
     state = initial_state(spec, data)
     state.rates = np.array([1e-9])
     state.eta = 2.0
-    ctx = mcmc._FitContext(spec, data, augmented=False)
-    cumhaz = ctx.cum_hazard(state.rates, _stats(ctx, state).overlap)
+    ctx = mcmc._FitContext(spec, data, augmented=False, state=state)
+    cumhaz = ctx.cum_hazard(state.rates)
     exposure = np.exp(data.design_matrix @ state.beta) * cumhaz
     ctx.update_z(state, np.random.default_rng(19), np.bincount(data.subject_positions, exposure))
     res = stats.kstest(state.z, "gamma", args=(2.0, 0, 0.5))
@@ -315,8 +308,8 @@ def test_frailty_draw_is_numpys_two_array_gamma_draw(family):
     # same product element by element, so the two streams agree bit for bit.
     kidney = load_kidney()
     spec = ModelSpec(family, KIDNEY_GRID)
-    ctx = mcmc._FitContext(spec, kidney, augmented=True)
     state = initial_state(spec, kidney)
+    ctx = mcmc._FitContext(spec, kidney, augmented=True, state=state)
     a_sum = np.random.default_rng(3).uniform(1e-3, 50.0, ctx.n_sub)
     for seed, eta in ((0, 0.01), (24, 1.7), (2**40, 300.0)):
         state.eta = eta
@@ -331,8 +324,8 @@ def test_frailty_draw_takes_one_gamma_call_per_count_group(family):
     # each group, in ascending order of its count, is one scalar-shape draw.
     kidney = load_kidney()
     spec = ModelSpec(family, KIDNEY_GRID)
-    ctx = mcmc._FitContext(spec, kidney, augmented=False)
     state = initial_state(spec, kidney)
+    ctx = mcmc._FitContext(spec, kidney, augmented=False, state=state)
     a_sum = np.random.default_rng(4).uniform(1e-3, 50.0, ctx.n_sub)
     groups = [np.flatnonzero(ctx.sub_counts == c) for c in (0.0, 1.0, 2.0)]
     assert all(g.size for g in groups) and sum(g.size for g in groups) == ctx.n_sub
@@ -365,9 +358,9 @@ def test_collapsed_eta_target_is_the_z_marginal(monkeypatch, augmented):
     spec = ModelSpec(FAMILY_GAMMA_CHAIN, KIDNEY_GRID)
     kidney, state = _kidney_state(spec, np.random.default_rng(67))
     targets = _captured_targets(monkeypatch)
-    ctx = mcmc._FitContext(spec, kidney, augmented)
+    ctx = mcmc._FitContext(spec, kidney, augmented, state)
     expb = np.exp(kidney.design_matrix @ state.beta)
-    cumhaz = ctx.cum_hazard(state.rates, _stats(ctx, state).overlap)
+    cumhaz = ctx.cum_hazard(state.rates)
     ctx.update_eta(state, np.random.default_rng(0), expb, cumhaz)
     (logf,) = targets
 
@@ -413,9 +406,9 @@ def test_eta_slice_next_to_its_range_guard_draws_a_finite_eta(monkeypatch, log_e
     spec = ModelSpec(FAMILY_GAMMA_CHAIN, KIDNEY_GRID)
     kidney, state = _kidney_state(spec, np.random.default_rng(68))
     state.eta = math.exp(log_eta)
-    ctx = mcmc._FitContext(spec, kidney, augmented=False)
+    ctx = mcmc._FitContext(spec, kidney, augmented=False, state=state)
     expb = np.exp(kidney.design_matrix @ state.beta)
-    cumhaz = ctx.cum_hazard(state.rates, _stats(ctx, state).overlap)
+    cumhaz = ctx.cum_hazard(state.rates)
     seen = []
     real = mcmc.update_scalar_slice
 
@@ -445,7 +438,7 @@ def test_frailty_rate_target_is_the_joint_along_its_log_rate(monkeypatch, family
     spec = ModelSpec(family, KIDNEY_GRID, HyperParams(alpha=3.0, nu=0.5))
     kidney, state = _kidney_state(spec, np.random.default_rng(73))
     targets = _captured_targets(monkeypatch)
-    ctx = mcmc._FitContext(spec, kidney, augmented)
+    ctx = mcmc._FitContext(spec, kidney, augmented, state)
     st = _stats(ctx, state)
     ctx.update_rates(state, np.random.default_rng(0), st.d, st.exposure)
     assert len(targets) == spec.grid.m
@@ -472,7 +465,7 @@ def test_centred_beta_target_is_the_joint_along_the_shift(monkeypatch, family, a
     spec = ModelSpec(family, KIDNEY_GRID, HyperParams(alpha=3.0, nu=0.5))
     kidney, state = _kidney_state(spec, np.random.default_rng(68))
     targets = _captured_targets(monkeypatch)
-    ctx = mcmc._FitContext(spec, kidney, augmented)
+    ctx = mcmc._FitContext(spec, kidney, augmented, state)
     ctx.update_beta(state, np.random.default_rng(0), _record_weights(ctx, state))
     xbar = kidney.design_matrix.mean(axis=0)
     assert len(targets) == 2 and xbar[1] > 40.0  # age is far off centre
@@ -501,7 +494,7 @@ def test_frailty_rescale_target_is_the_joint_along_the_orbit(monkeypatch, family
     spec = ModelSpec(family, KIDNEY_GRID, HyperParams(alpha=3.0, nu=0.5))
     kidney, state = _kidney_state(spec, np.random.default_rng(70))
     targets = _captured_targets(monkeypatch)
-    mcmc._FitContext(spec, kidney, augmented).update_scale(state, np.random.default_rng(0))
+    mcmc._FitContext(spec, kidney, augmented, state).update_scale(state, np.random.default_rng(0))
     (logf,) = targets
     got, want = [], []
     for s in np.linspace(-0.8, 0.8, 21):
@@ -520,7 +513,7 @@ def test_frailty_rescale_target_is_the_joint_along_the_orbit(monkeypatch, family
 def test_frailty_rescale_keeps_every_frailty_times_rate(family):
     spec = ModelSpec(family, KIDNEY_GRID)
     kidney, state = _kidney_state(spec, np.random.default_rng(71))
-    ctx = mcmc._FitContext(spec, kidney, augmented=True)
+    ctx = mcmc._FitContext(spec, kidney, augmented=True, state=state)
     rng = np.random.default_rng(5)
     for _ in range(20):
         before = np.outer(state.z, state.rates)
@@ -541,7 +534,7 @@ def test_frailty_underflowed_to_zero_passes_the_rescale(family):
     kidney, state = _kidney_state(spec, np.random.default_rng(72))
     state.z[3] = 0.0
     state.z[5] = 3e-309  # subnormal
-    ctx = _tracked(spec, kidney, True, state)
+    ctx = mcmc._FitContext(spec, kidney, True, state)
     rng = mcmc._ChainSource(np.random.default_rng(6))
     for _ in range(50):
         ctx.update_scale(state, rng)
@@ -600,7 +593,7 @@ def test_targets_read_minus_inf_where_a_rate_would_leave_the_doubles(monkeypatch
     kidney, state = _kidney_state(spec, np.random.default_rng(69))
     state.rates[-2:] = (1e-315, 1e-320)
     targets = _captured_targets(monkeypatch)
-    ctx = mcmc._FitContext(spec, kidney, augmented=True)
+    ctx = mcmc._FitContext(spec, kidney, augmented=True, state=state)
     st = _stats(ctx, state)
     ctx.update_rates(state, np.random.default_rng(0), st.d, st.exposure)
     ctx.update_beta(state, np.random.default_rng(0), _record_weights(ctx, state))
@@ -703,7 +696,7 @@ def test_imputed_values_exceed_censor_times():
     data = _partially_censored_dataset(S1, 200, 4)
     spec = ModelSpec(FAMILY_GAMMA_CHAIN, GRID4)
     state = initial_state(spec, data)
-    _tracked(spec, data, True, state).impute(state, np.random.default_rng(1))
+    mcmc._FitContext(spec, data, True, state).impute(state, np.random.default_rng(1))
     cens = ~data.event_flags
     assert np.all(state.times[cens] > data.marginal_times[cens])
     assert np.all(state.times[~cens] == data.marginal_times[~cens])
@@ -716,7 +709,7 @@ def test_imputation_memoryless_under_constant_rates():
     spec = ModelSpec(FAMILY_GAMMA_CHAIN, GRID4)
     state = initial_state(spec, data)
     state.rates = np.full(4, c)
-    _tracked(spec, data, True, state).impute(state, np.random.default_rng(3))
+    mcmc._FitContext(spec, data, True, state).impute(state, np.random.default_rng(3))
     res = stats.kstest(state.times - 1.5, "expon", args=(0, 1 / c))
     assert res.pvalue > 0.001
 
@@ -725,7 +718,7 @@ def test_imputation_beyond_last_cut_is_finite():
     data = SurvivalDataset([SurvivalRecord(1, 1, None, 0, 50.0)])
     spec = ModelSpec(FAMILY_GAMMA_CHAIN, GRID4)
     state = initial_state(spec, data)
-    _tracked(spec, data, True, state).impute(state, np.random.default_rng(23))
+    mcmc._FitContext(spec, data, True, state).impute(state, np.random.default_rng(23))
     assert np.isfinite(state.times[0]) and state.times[0] > 50.0
 
 
@@ -735,7 +728,7 @@ def test_imputation_zero_tail_aborts_chain():
     state = initial_state(spec, data)
     state.rates = np.array([1.0, 1.0, 1.0, 0.0])
     with pytest.raises(Exception, match="zero-rate tail"):
-        mcmc._FitContext(spec, data, augmented=True).impute(state, np.random.default_rng(2))
+        mcmc._FitContext(spec, data, True, state).impute(state, np.random.default_rng(2))
 
 
 def _assert_overflowing_imputation_aborts():
@@ -771,9 +764,9 @@ def test_overflowing_cumulative_hazard_names_the_record():
         data = SurvivalDataset([record, SurvivalRecord(2, 1, 1.0, 1)])
         state = initial_state(spec, data)
         state.rates = np.full(4, 1e10)
-        ctx = mcmc._FitContext(spec, data, augmented=False)
+        ctx = mcmc._FitContext(spec, data, augmented=False, state=state)
         with pytest.raises(FloatingPointError) as info:
-            ctx.cum_hazard(state.rates, _stats(ctx, state).overlap)
+            ctx.cum_hazard(state.rates)
         assert str(info.value) == f"cumulative hazard at the {where} is not finite"
 
     # A rate of e^709 on (4, 100] meets no record below 4, so H is finite,
@@ -784,19 +777,19 @@ def test_overflowing_cumulative_hazard_names_the_record():
     data = SurvivalDataset(records)
     spec = ModelSpec(FAMILY_LOGNORMAL_RW, grid)
     state = initial_state(spec, data)
-    ctx = mcmc._FitContext(spec, data, augmented=False)
+    ctx = mcmc._FitContext(spec, data, augmented=False, state=state)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        cumhaz = ctx.cum_hazard(rates, _stats(ctx, state).overlap)
+        cumhaz = ctx.cum_hazard(rates)
         want = PiecewiseExponential(grid, rates).cum_hazard(data.marginal_times)
     assert np.all(np.isfinite(cumhaz))
     np.testing.assert_allclose(cumhaz, want, rtol=1e-14)
 
     data = SurvivalDataset(records + [SurvivalRecord(40, 1, 150.0, 1)])
     state = initial_state(spec, data)
-    ctx = mcmc._FitContext(spec, data, augmented=False)
+    ctx = mcmc._FitContext(spec, data, augmented=False, state=state)
     with pytest.raises(FloatingPointError) as info:
-        ctx.cum_hazard(rates, _stats(ctx, state).overlap)
+        ctx.cum_hazard(rates)
     assert str(info.value) == (
         "cumulative hazard at the time of record 39 (subject 40, replicate 1, event at 150) "
         "is not finite"
@@ -979,7 +972,7 @@ def test_cached_exposures_and_counts_never_go_stale(monkeypatch, family, impute)
 
     monkeypatch.setattr(mcmc._FitContext, "update_rates", spying)
     state = initial_state(spec, data)
-    ctx = _tracked(spec, data, impute, state)
+    ctx = mcmc._FitContext(spec, data, impute, state)
     source = mcmc._ChainSource(chain_rng(8, 1))
     for _ in range(20):
         ctx.sweep(state, source)
@@ -1559,7 +1552,7 @@ def _assert_one_sweep_invariant(family, impute, covariate, width=1.0):
             ("x",),
         )
         state = ParamState(rates=rates, beta=beta, z=z, eta=eta, times=times)
-        ctx = _tracked(spec, data, impute, state)
+        ctx = mcmc._FitContext(spec, data, impute, state)
         ctx.slice_widths = [width] * len(ctx.slice_widths)
         ctx.sweep(state, mcmc._ChainSource(chain_rng(rep, 1)))
         swept.append(dict(zip(ctx.monitor_names, ctx.monitor_values(state)), z1=state.z[0]))

@@ -125,13 +125,14 @@ def test_augmented_counts_include_imputed(kidney, kidney_spec):
 
 
 def _reference_stats(state, spec, data, augmented):
-    """(d, R) the record-major way: dense exposures, ``.T @ w``, searchsorted counts."""
+    """(d, R) the record-major way: dense exposures, ``.T @ w``, and each
+    record counted in the last interval it overlaps."""
     times = state.times if augmented else data.marginal_times
     cuts = np.array(spec.grid.cut_points)
     uppers = np.append(cuts[1:], np.inf)
     dense = np.clip(np.minimum(times[:, None], uppers) - cuts, 0.0, None)
     assert dense.flags.c_contiguous
-    j = spec.grid.interval_index(times) - 1
+    j = spec.grid.m - 1 - np.argmax(dense[:, ::-1] > 0.0, axis=1)
     counted = np.ones(data.n_records, dtype=bool) if augmented else data.event_flags
     d = np.bincount(j[counted], minlength=spec.grid.m).astype(float)
     return d, dense.T @ record_weights(state, spec, data)

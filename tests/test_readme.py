@@ -15,3 +15,8 @@ def test_library_entry_points_block_imports_public_names():
     exec(compile(block, str(README), "exec"), namespace)
     names = set(namespace) - {"__builtins__"}
     assert names and names <= set(pexsurv.__all__)
+
+
+def test_stated_imputation_default_is_the_configs():
+    stated = re.search(r"the\s+default\s+stays\s+`impute=(\w+)`", README.read_text()).group(1)
+    assert stated == str(pexsurv.McmcConfig().impute)
