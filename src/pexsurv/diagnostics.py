@@ -119,7 +119,10 @@ def effective_sample_size(draws) -> float:
 
 
 def summarize(chains, mass: float = 0.95) -> list[Summary]:
-    """Pooled mean/median/sd/HPD per parameter; ESS from the first chain."""
+    """Pooled mean/median/sd/HPD per parameter; ESS from the first chain.
+
+    The median is the middle of the sorted pooled draws, or the mean of the two
+    middle ones: ``np.median``'s value, without the ``numpy.ma`` it imports."""
     if not chains:
         raise ValueError("need at least one chain")
     names = chains[0].names
@@ -137,7 +140,7 @@ def summarize(chains, mass: float = 0.95) -> list[Summary]:
             Summary(
                 name=name,
                 mean=float(pooled.mean()),
-                median=float(np.median(pooled)),
+                median=float(np.sort(pooled)[(pooled.size - 1) // 2 : pooled.size // 2 + 1].mean()),
                 sd=float(np.ldexp(unit.std(ddof=1), e)),
                 hpd_low=low,
                 hpd_high=high,

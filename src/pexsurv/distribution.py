@@ -245,14 +245,16 @@ class TimeGrid:
         """Per-interval event counts ``d`` and exposures ``R`` of unit-weight records.
 
         ``R[j]`` sums the overlaps of (0, t] with I_j over ``times``, the
-        entries of one column of :meth:`exposures`; ``d[j]`` counts the
-        times flagged in the boolean ``events`` that lie in I_j, as the
-        number of them above a_j less the number above a_{j+1}.  Both are
-        float arrays of length m.  One interval at a time is summed in one
-        reused ``len(times)`` buffer, so no ``(m, len(times))`` array is
-        built.  Times outside the open support raise ``ValueError``.
+        entries of one column of :meth:`exposures`; ``d[j]`` counts the times
+        flagged in the boolean ``events`` that lie in I_j, as the number of them
+        above a_j less the number above a_{j+1}.  Both are float arrays of length
+        m.  One interval at a time is summed in one reused ``len(times)`` buffer,
+        so no ``(m, len(times))`` array is built.  Times outside the open
+        support, or ``events`` of another shape, raise ``ValueError``.
         """
         t, _ = _prep_times(times)
+        if np.shape(events) != t.shape:
+            raise ValueError(f"events has shape {np.shape(events)}, times {t.shape}")
         buf, flag = np.empty_like(t), np.empty(t.shape, dtype=bool)
         above, risk = [], np.empty(self.m)
         for j, (a, b) in enumerate(zip(self._cuts, self._uppers)):

@@ -316,10 +316,10 @@ class _FitContext:
         self.count_ladder = [
             (float(k), float(np.count_nonzero(counts > k))) for k in range(counts.max(initial=0))
         ]
-        # The subjects of each d_i, in ascending order of d_i: the frailty
-        # draw takes one scalar-shape Gamma call per group.
+        # The subjects of each d_i, in ascending order of d_i (a set: np.unique
+        # imports numpy.ma): the frailty draw takes one scalar-shape Gamma call per group.
         self.count_groups = [
-            (float(c), np.flatnonzero(self.sub_counts == c)) for c in np.unique(self.sub_counts)
+            (c, np.flatnonzero(self.sub_counts == c)) for c in sorted(set(self.sub_counts.tolist()))
         ]
         # The centred beta move, per covariate: x_k - xbar_k (xbar_k the
         # column mean over records), xbar_k, its range, and its sum over

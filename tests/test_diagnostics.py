@@ -171,6 +171,24 @@ def test_summarize_pools_chains_but_uses_first_chain_ess():
     assert s_ba.ess == effective_sample_size(b.draws["x"])
 
 
+@pytest.mark.parametrize("sizes", [(100, 101), (100, 100)], ids=["odd", "even"])
+@pytest.mark.parametrize(
+    "scale", [5e-324, 1e-320, 1.0, 0.45 * np.finfo(float).max],
+    ids=["least-subnormal", "subnormal", "unit", "near-max"],
+)
+def test_summary_median_is_numpys_median(sizes, scale):
+    # Subnormal draws are whole multiples of a subnormal, so the mean of the
+    # two middle ones rounds; near the largest double their sum nearly
+    # overflows, and the pooled mean does overflow.
+    rng = np.random.default_rng(48)
+    units = [rng.integers(1, 2**20, n) if scale < 1e-300 else rng.uniform(0.5, 1.0, n) for n in sizes]
+    chains = [_store(a=u * scale) for u in units]
+    with np.errstate(over="ignore"):
+        (s,) = summarize(chains)
+    pooled = np.concatenate([c.draws["a"] for c in chains])
+    assert np.float64(s.median).tobytes() == np.median(pooled).tobytes()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_draws_are_rejected(bad):
     draws = np.r_[np.linspace(0.0, 1.0, 199), bad]

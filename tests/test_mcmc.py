@@ -1418,51 +1418,86 @@ def test_chains_run_one_by_one_inside_a_daemonic_process(monkeypatch):
     _assert_same_chains(got, [run_chain(spec, data, cfg, chain_id=c) for c in (1, 2)])
 
 
-_WORKER_MACHINERY_SCRIPT = """
+_ENTRY_POINTS_SCRIPT = """
 import sys
 
-def loaded():
-    return "multiprocessing" in sys.modules
+import numpy
+
+def masked():
+    return {m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")}
+
+with_numpy, steps, new_masked = masked(), {}, {}
+
+def record(step):
+    steps[step] = "multiprocessing" in sys.modules
+    new_masked[step] = sorted(masked() - with_numpy)
 
 import pexsurv
 from pexsurv import FAMILY_GAMMA_CHAIN, FAMILY_SIMPLE, cli
-steps = {"import pexsurv": loaded()}
+record("import pexsurv")
 grid, data = pexsurv.TimeGrid((0.0, 100.0, 300.0)), pexsurv.load_kidney()
 
-def fit(family, n_chains):
-    cfg = pexsurv.McmcConfig(n_chains=n_chains, burn_in=2, n_iter=3, seed=1)
-    assert len(pexsurv.run_chains(pexsurv.ModelSpec(family, grid), data, cfg)) == n_chains
-    return loaded()
+def fit(family, n_chains, n_iter=3):
+    cfg = pexsurv.McmcConfig(n_chains=n_chains, burn_in=2, n_iter=n_iter, seed=1)
+    chains = pexsurv.run_chains(pexsurv.ModelSpec(family, grid), data, cfg)
+    assert len(chains) == n_chains
+    return chains
 
-steps["a 2-chain simple fit"] = fit(FAMILY_SIMPLE, 2)
+chains = fit(FAMILY_SIMPLE, 2, n_iter=101)
+record("a 2-chain simple fit")
+assert len(pexsurv.summarize(chains)) == grid.m
+record("summarize")
 assert cli.main(["dist", "eval", "--grid", "0,2", "--rates", "0.5,1", "--t", "3"]) == 0
-steps["dist eval"] = loaded()
+record("dist eval")
 out = sys.argv[1]
+assert cli.main(["fit", "--model", "frailty-gamma", "--data", "kidney", "--chains", "1", "--burnin", "2",
+                 "--iters", "100", "--seed", "3", "--out", out + "/fit"]) == 0
+record("fit")
 assert cli.main(["simulate", "--scenario", "s1", "--n", "50", "--reps", "1", "--seed", "3", "--out", out]) == 0
-steps["simulate"] = loaded()
-steps["a 1-chain frailty fit"] = fit(FAMILY_GAMMA_CHAIN, 1)
-steps["a 2-chain frailty fit"] = fit(FAMILY_GAMMA_CHAIN, 2)
+record("simulate")
+fit(FAMILY_GAMMA_CHAIN, 1)
+record("a 1-chain frailty fit")
+fit(FAMILY_GAMMA_CHAIN, 2)
+record("a 2-chain frailty fit")
 print(steps)
+print(new_masked)
 """
 
 
-def test_only_a_fit_that_may_fork_loads_multiprocessing(tmp_path):
+@pytest.fixture(scope="module")
+def fresh_interpreter_steps(tmp_path_factory):
+    """Per step of the script above: is multiprocessing loaded, and which numpy.ma modules are new."""
     # A fresh interpreter: this one imported multiprocessing long ago.
     paths = [str(Path(mcmc.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     run = subprocess.run(
-        [sys.executable, "-c", _WORKER_MACHINERY_SCRIPT, str(tmp_path / "sim")],
+        [sys.executable, "-c", _ENTRY_POINTS_SCRIPT, str(tmp_path_factory.mktemp("out"))],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert run.returncode == 0, run.stderr
-    assert ast.literal_eval(run.stdout.strip().splitlines()[-1]) == {
+    *_, forks, masked = run.stdout.strip().splitlines()
+    return ast.literal_eval(forks), ast.literal_eval(masked)
+
+
+def test_only_a_fit_that_may_fork_loads_multiprocessing(fresh_interpreter_steps):
+    forks, _ = fresh_interpreter_steps
+    assert forks == {
         "import pexsurv": False,
         "a 2-chain simple fit": False,
+        "summarize": False,
         "dist eval": False,
+        "fit": False,
         "simulate": False,
         "a 1-chain frailty fit": False,
         "a 2-chain frailty fit": True,
     }
+
+
+def test_no_entry_point_loads_numpy_ma(fresh_interpreter_steps):
+    # numpy 2.x imports numpy.ma lazily, and np.median and np.unique load it;
+    # numpy 1.x loads it with numpy, so only modules loaded later count.
+    forks, masked = fresh_interpreter_steps
+    assert masked == dict.fromkeys(forks, [])
 
 
 def _pooled_mean_and_mcse(chains, name):

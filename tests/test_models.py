@@ -195,6 +195,13 @@ def test_interval_totals_reject_times_outside_the_support(bad):
         GRID4.interval_totals([1.5, bad, 4.0], [True, False, True])
 
 
+@pytest.mark.parametrize("events", [[True], [True, False, True], [[True, False]]], ids=["short", "long", "2-d"])
+def test_interval_totals_reject_events_of_another_shape(events):
+    # a one-flag array would broadcast and count the record at 2.0 as an event
+    with pytest.raises(ValueError, match=r"^events has shape \(.*\), times \(2,\)$"):
+        TimeGrid((0.0, 1.0)).interval_totals(np.array([0.5, 2.0]), np.array(events))
+
+
 @pytest.mark.parametrize("augmented", [True, False], ids=["augmented", "marginal"])
 @pytest.mark.parametrize("family", [FAMILY_SIMPLE, FAMILY_GAMMA_CHAIN])
 def test_sufficient_stats_are_summed_from_the_overlap_they_return(kidney, family, augmented):
