@@ -405,7 +405,7 @@ def read_dataset_csv(path) -> SurvivalDataset:
     built; a chunk with a malformed row is read again row by row, only to
     name the first such row.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         return _read_csv_stream(fh, str(path))
 
 

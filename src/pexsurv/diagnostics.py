@@ -47,12 +47,20 @@ class Summary:
     ess: float
 
 
-def _finite(draws) -> np.ndarray:
-    """``draws`` as a float array; a NaN or infinite draw is a ``ValueError``."""
+def _unit_scaled(draws) -> tuple[np.ndarray, int]:
+    """``draws`` times 2**-e, and e, the binary exponent of their largest magnitude.
+
+    Every statistic is taken from this view; a NaN or infinite draw is a
+    ``ValueError``.  The largest scaled magnitude lies in [0.5, 1), so no sum,
+    width or sum of squares overflows, nor does a sum of squares underflow to
+    zero; the scaling is exact unless a scaled draw is subnormal.
+    """
     x = np.asarray(draws, dtype=float)
-    if not np.isfinite(x).all():
+    top = np.max(np.abs(x), initial=0.0)  # NaN if any draw is NaN
+    if not np.isfinite(top):
         raise ValueError("draws must be finite")
-    return x
+    e = int(np.frexp(top)[1])
+    return np.ldexp(x, -e), e
 
 
 def hpd_interval(draws, mass: float = 0.95) -> tuple[float, float]:
@@ -60,28 +68,21 @@ def hpd_interval(draws, mass: float = 0.95) -> tuple[float, float]:
 
     Among all windows of ceil(mass * n) consecutive sorted draws the
     narrowest wins; ties resolve to the lowest window so the result is
-    deterministic.  A NaN or infinite draw raises ``ValueError``.
+    deterministic.  The widths are compared on the draws scaled by a power of
+    two, so none overflows, and each bound is one of the draws, bit for bit.
+    A NaN or infinite draw raises ``ValueError``.
     """
-    x = np.sort(_finite(draws))
+    x = np.sort(np.asarray(draws, dtype=float))
+    unit, _ = _unit_scaled(x)
     n = x.size
     if n < 10:
         raise InsufficientDataError(f"need at least 10 draws for an HPD interval, got {n}")
     if not 0.0 < mass < 1.0:
         raise ValueError("mass must lie in (0, 1)")
     k = int(np.ceil(mass * n))
-    widths = x[k - 1 :] - x[: n - k + 1]
+    widths = unit[k - 1 :] - unit[: n - k + 1]
     i = int(np.argmin(widths))  # argmin returns the first (lowest) minimizer
     return float(x[i]), float(x[i + k - 1])
-
-
-def _unit_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
-    """``x`` times 2**-e, and e, the binary exponent of its largest magnitude.
-
-    Exact; its largest magnitude lies in [0.5, 1), so its sum of squares can
-    neither overflow nor underflow to zero.
-    """
-    e = int(np.frexp(np.max(np.abs(x)))[1])
-    return np.ldexp(x, -e), e
 
 
 def _autocorrelations(x: np.ndarray) -> np.ndarray:
@@ -102,11 +103,10 @@ def effective_sample_size(draws) -> float:
     at n.  It does not depend on the draws' scale.  A NaN or infinite draw
     raises ``ValueError``.
     """
-    x = _finite(draws)
+    x, _ = _unit_scaled(draws)
     n = x.size
     if n < 100:
         raise InsufficientDataError(f"need at least 100 draws for an ESS estimate, got {n}")
-    x, _ = _unit_scaled(x)
     if np.ptp(x) == 0.0:
         warnings.warn("zero-variance draws: effective sample size set to 0", RuntimeWarning)
         return 0.0
@@ -121,8 +121,11 @@ def effective_sample_size(draws) -> float:
 def summarize(chains, mass: float = 0.95) -> list[Summary]:
     """Pooled mean/median/sd/HPD per parameter; ESS from the first chain.
 
-    The median is the middle of the sorted pooled draws, or the mean of the two
-    middle ones: ``np.median``'s value, without the ``numpy.ma`` it imports."""
+    Every statistic is taken from the pooled draws scaled by a power of two,
+    so the summary of finite draws is finite (unless the sd itself passes the
+    largest double) and the HPD bounds are draws.  The median is the middle
+    of the sorted pooled draws, or the mean of the two middle ones:
+    ``np.median``'s value, without the ``numpy.ma`` it imports."""
     if not chains:
         raise ValueError("need at least one chain")
     names = chains[0].names
@@ -136,17 +139,10 @@ def summarize(chains, mass: float = 0.95) -> list[Summary]:
         pooled = np.concatenate([c.draws[name] for c in chains])
         low, high = hpd_interval(pooled, mass)
         unit, e = _unit_scaled(pooled)
-        out.append(
-            Summary(
-                name=name,
-                mean=float(pooled.mean()),
-                median=float(np.sort(pooled)[(pooled.size - 1) // 2 : pooled.size // 2 + 1].mean()),
-                sd=float(np.ldexp(unit.std(ddof=1), e)),
-                hpd_low=low,
-                hpd_high=high,
-                ess=effective_sample_size(chains[0].draws[name]),
-            )
-        )
+        middle = np.sort(unit)[(unit.size - 1) // 2 : unit.size // 2 + 1]
+        mean, median, sd = np.ldexp([unit.mean(), middle.mean(), unit.std(ddof=1)], e).tolist()
+        ess = effective_sample_size(chains[0].draws[name])
+        out.append(Summary(name, mean, median, sd, low, high, ess))
     return out
 
 

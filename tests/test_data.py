@@ -399,6 +399,14 @@ def test_csv_writer_writes_these_bytes(tmp_path):
     assert read_dataset_csv(path) == ds
 
 
+def test_csv_with_a_utf8_byte_order_mark_reads_back(tmp_path):
+    # Excel starts its CSVs with a BOM, which must not reach the header check
+    path = tmp_path / "bom.csv"
+    write_dataset_csv(load_kidney(), path)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert read_dataset_csv(path) == load_kidney()
+
+
 def _valid_csv(path, n, p=2):
     """Write n valid rows (every third censored, a blank line every 1,000)
     and return the dataset they hold."""

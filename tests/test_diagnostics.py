@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pexsurv.diagnostics import (
     InsufficientDataError,
@@ -179,14 +182,71 @@ def test_summarize_pools_chains_but_uses_first_chain_ess():
 def test_summary_median_is_numpys_median(sizes, scale):
     # Subnormal draws are whole multiples of a subnormal, so the mean of the
     # two middle ones rounds; near the largest double their sum nearly
-    # overflows, and the pooled mean does overflow.
+    # overflows, and the pooled sum does.
     rng = np.random.default_rng(48)
     units = [rng.integers(1, 2**20, n) if scale < 1e-300 else rng.uniform(0.5, 1.0, n) for n in sizes]
     chains = [_store(a=u * scale) for u in units]
-    with np.errstate(over="ignore"):
-        (s,) = summarize(chains)
+    (s,) = summarize(chains)
     pooled = np.concatenate([c.draws["a"] for c in chains])
     assert np.float64(s.median).tobytes() == np.median(pooled).tobytes()
+
+
+# Near the largest double a sum or a width of finite draws passes it; the
+# statistics are taken from the draws scaled by a power of two, so they stay
+# finite and exact.
+BIG = np.finfo(float).max
+
+
+def test_summary_mean_is_finite_where_the_pooled_sum_passes_the_largest_double():
+    draws = np.random.default_rng(49).uniform(0.3, 0.45, 200) * BIG
+    (s,) = summarize([_store(a=draws[:100]), _store(a=draws[100:])])
+    reference = math.fsum(draws * 2.0**-8) / draws.size * 2.0**8
+    assert math.isfinite(s.mean)
+    assert abs(s.mean - reference) <= math.ulp(reference)
+
+
+def test_hpd_bounds_are_draws_where_the_widths_pass_the_largest_double():
+    rng = np.random.default_rng(50)
+    draws = np.r_[-rng.uniform(0.6, 0.9, 100), rng.uniform(0.6, 0.9, 100)] * BIG
+    low, high = hpd_interval(draws)
+    assert low in draws and high in draws
+    half_low, half_high = hpd_interval(draws / 2.0)
+    assert (low, high) == (2.0 * half_low, 2.0 * half_high)
+
+
+def test_summary_median_of_two_middle_draws_past_half_the_largest_double():
+    draws = np.random.default_rng(51).uniform(0.55, 0.9, 200) * BIG
+    a, b = np.sort(draws)[99:101]
+    assert a > BIG / 2
+    (s,) = summarize([_store(a=draws)])
+    assert s.median == a / 2 + b / 2
+
+
+magnitudes = st.floats(2.0**-40, 2.0**40)
+draw_values = st.one_of(st.just(0.0), magnitudes, magnitudes.map(lambda v: -v))
+
+
+@st.composite
+def scalable_pools(draw):
+    """Two chains and a k for which every draw times 2**k stays a normal, finite
+    double, 64 binades clear of the subnormals and one of overflow, so that a
+    cancelling mean and the sd stay normal and finite too."""
+    chains = [draw(arrays(float, draw(st.integers(lo, 150)), elements=draw_values)) for lo in (100, 10)]
+    assume(np.ptp(chains[0]) > 0.0)
+    pool = np.abs(np.concatenate(chains))
+    exponents = np.frexp(pool[pool > 0.0])[1]
+    return chains, draw(st.integers(-957 - int(exponents.min()), 1023 - int(exponents.max())))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(pools=scalable_pools())
+def test_scaling_the_draws_by_a_power_of_two_scales_every_statistic_exactly(pools):
+    chains, k = pools
+    (s,) = summarize([_store(a=c) for c in chains])
+    (t,) = summarize([_store(a=np.ldexp(c, k)) for c in chains])
+    for stat in ("mean", "median", "sd", "hpd_low", "hpd_high"):
+        assert getattr(t, stat) == math.ldexp(getattr(s, stat), k), stat
+    assert t.ess == s.ess
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
