@@ -123,7 +123,9 @@ def summarize(chains, mass: float = 0.95) -> list[Summary]:
 
     Every statistic is taken from the pooled draws scaled by a power of two,
     so the summary of finite draws is finite (unless the sd itself passes the
-    largest double) and the HPD bounds are draws.  The median is the middle
+    largest double) and the HPD bounds are draws; only where every draw lies
+    below 1 in magnitude, so that no sum overflows, is the mean the raw
+    pool's, rounded once even where it is subnormal.  The median is the middle
     of the sorted pooled draws, or the mean of the two middle ones:
     ``np.median``'s value, without the ``numpy.ma`` it imports."""
     if not chains:
@@ -141,6 +143,8 @@ def summarize(chains, mass: float = 0.95) -> list[Summary]:
         unit, e = _unit_scaled(pooled)
         middle = np.sort(unit)[(unit.size - 1) // 2 : unit.size // 2 + 1]
         mean, median, sd = np.ldexp([unit.mean(), middle.mean(), unit.std(ddof=1)], e).tolist()
+        if e <= 0:  # ldexp would round a subnormal mean a second time
+            mean = float(pooled.mean())
         ess = effective_sample_size(chains[0].draws[name])
         out.append(Summary(name, mean, median, sd, low, high, ess))
     return out

@@ -42,16 +42,15 @@ worker machinery (``multiprocessing``), where it may fork: importing the
 package, a simple-family fit, ``pexsurv simulate`` and ``pexsurv dist``
 never load it.
 
-Inputs are validated once, by the public constructors (``TimeGrid``,
-``PiecewiseExponential``, ``SurvivalRecord``, ``ModelSpec``); the sweep then
-builds no distribution object.  A frailty chain's fit context is built whole
-from its starting state: the constructor caches the interval overlaps E of
-the working times and the counts d, each counted record in its
-``TimeGrid.interval_index``, from one ``sufficient_stats`` call, and every
-sweep reads R = E (z e^{X beta}) and H = lambda E from them.  Only
-imputation moves a working time, and it rewrites the moved records'
-overlaps and counts; only its inverse draw reads the ladder of the rates,
-through the plain functions of :mod:`pexsurv.distribution`.
+Inputs are validated once: by the public constructors (``TimeGrid``,
+``PiecewiseExponential``, ``SurvivalRecord``, ``ModelSpec``) and, for a
+caller's start, by ``run_chain``; the sweep then builds no distribution
+object.  A frailty chain's fit context caches the interval overlaps E of its
+start's working times and the counts d from one ``sufficient_stats`` call,
+and every sweep reads R = E (z e^{X beta}) and H = lambda E from them.  Only
+imputation moves a working time and rewrites those records' overlaps and
+counts; only its inverse draw reads the ladder of the rates, through the
+plain functions of :mod:`pexsurv.distribution`.
 
 Scalar slice sampling follows the stepping-out / shrinkage scheme: the
 bracket grows by its width up to 50 total expansions (an exceeded cap simply
@@ -67,13 +66,12 @@ draws through three entry points: the kernel's ``random()``, handed out of
 blocks of ``_UNIFORM_BLOCK`` doubles, ``uniform(size=)`` and ``standard_gamma``.
 
 The frailty families' rate prior is stated once per chain, as the fit
-context's ``link`` from each log-rate to the next, which the rate targets,
-the rescale and the coefficient moves all read.
-
-A rate whose e^x would not be a positive, finite double has density zero:
-the rate targets, and the coefficient and frailty moves that rescale every
-rate, read -inf there.  The frailty rescale reads -inf, too, where a
-positive frailty would leave the positive, finite doubles.
+context's ``link`` from each log-rate to the next.  A rate whose e^x would
+not be a positive, finite double has density zero: the rate targets, and the
+coefficient and frailty moves that rescale every rate, read -inf there, so
+every rate stays positive from a positive start and imputation checks none.
+The frailty rescale reads -inf, too, where a frailty would leave the
+positive, finite doubles.
 """
 
 from __future__ import annotations
@@ -89,7 +87,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .data import SurvivalDataset
-from .distribution import UnreachableMassError, hazard_ladder, inverse_cum_hazard_at
+from .distribution import hazard_ladder, inverse_cum_hazard_at
 from .models import (
     FAMILY_GAMMA_CHAIN,
     ModelSpec,
@@ -261,23 +259,20 @@ def update_scalar_slice(log_density, x0, rng, width=1.0):
 class _FitContext:
     """Precomputed data views shared by every sweep of one frailty fit, and its blocks.
 
-    ``augmented`` is the likelihood mode (``McmcConfig.impute``) and
-    ``state`` the chain's starting state.  Grid, data and specification were
-    validated by their constructors.  H is the rates times interval
-    overlaps: ``overlap``, the interval-major (m, n) E at the working times,
-    cached with the counts ``d`` by the constructor and kept current by
-    ``impute``, and ``bound_overlap`` at the censoring bounds, which never
-    move; imputation inverts H on the ladder over the grid's ``cuts``.
-    Every block slices through ``slice_update`` and draws by ``random()``,
-    ``uniform(size=)`` and ``standard_gamma`` only.
+    ``augmented`` is the likelihood mode (``McmcConfig.impute``) and ``state``
+    the chain's start, checked by ``run_chain``.  H is the rates times
+    ``overlap``, the interval-major (m, n) E at the working times, cached with
+    the counts ``d`` by the constructor and kept current by ``impute``.  Only
+    an imputing context holds imputation's views: ``cens_idx``, ``cens_X``,
+    ``cens_subj``, ``bound_overlap``, the ladder's ``cuts`` and ``widths``,
+    and ``fixed_d``.  Every block slices through ``slice_update`` and draws by
+    ``random()``, ``uniform(size=)`` and ``standard_gamma`` only.
     """
 
     def __init__(self, spec: ModelSpec, data: SurvivalDataset, augmented: bool, state: ParamState):
         self.spec = spec
         self.data = data
         self.augmented = augmented
-        self.cuts = np.array(spec.grid.cut_points)
-        self.widths = np.diff(self.cuts)
         self.m = spec.grid.m
         self.h = h = spec.hyper
         # The frailty families' rate prior, one link of the chain at a time:
@@ -302,10 +297,6 @@ class _FitContext:
         self.subj = data.subject_positions
         self.n_sub = max(data.n_subjects, 1)
         events = data.event_flags
-        self.cens_idx = np.flatnonzero(~events)
-        # imputation's fixed per-chain views: the censored rows of X and their subjects
-        self.cens_X, self.cens_subj = self.X[self.cens_idx], self.subj[self.cens_idx]
-        self.bound_overlap = spec.grid.exposures(data.marginal_times[self.cens_idx]).T  # (m, #censored)
         # Density indicator per record: with augmentation every working time
         # is scored as an event; otherwise only true events are.
         dens = np.ones(data.n_records) if augmented else events.astype(float)
@@ -345,9 +336,13 @@ class _FitContext:
         # moves, so only impute rewrites them, for the censored records.
         stats = sufficient_stats(state, spec, data, augmented=augmented)
         self.overlap, self.d = stats.overlap, stats.d
-        if augmented:  # the counts of the records whose times never move
-            cens_last = self.last_interval(state.times[self.cens_idx])
-            self.fixed_d = stats.d - np.bincount(cens_last, minlength=self.m)
+        if augmented:  # imputation's fixed views; an analytic chain builds none
+            self.cuts = np.array(spec.grid.cut_points)
+            self.widths = np.diff(self.cuts)
+            idx = self.cens_idx = np.flatnonzero(~events)
+            self.cens_X, self.cens_subj = self.X[idx], self.subj[idx]
+            self.bound_overlap = spec.grid.exposures(data.marginal_times[idx]).T  # (m, #censored)
+            self.fixed_d = stats.d - np.bincount(self.last_interval(state.times[idx]), minlength=self.m)
 
     def last_interval(self, times):
         """0-based ``TimeGrid.interval_index`` of each time, without its check of the times."""
@@ -407,10 +402,6 @@ class _FitContext:
         """
         idx = self.cens_idx
         rates = state.rates
-        if not rates[-1] > 0:
-            raise UnreachableMassError(
-                "zero-rate tail: censored times cannot be imputed above their bounds"
-            )
         w = np.exp(self.cens_X @ state.beta) * state.z[self.cens_subj]
         u = np.maximum(rng.uniform(size=idx.size), _TINY)
         with np.errstate(over="ignore"):  # checked below
@@ -630,17 +621,25 @@ def run_chain(
 ) -> ChainStore:
     """Run one chain; returns retained draws after burn-in and thinning.
 
-    A frailty chain starts from ``init`` (by default ``initial_state``), and
-    any update failure aborts it with the iteration index attached.  A simple
-    chain takes its ``(d, R)`` from one ``TimeGrid.interval_totals`` call,
-    with no ``(m, n)`` overlap array; its ``n_iter // thin`` draws are
-    independent of each other and of ``init``, and its ``wall_time_s``
-    covers them, not the ``(d, R)`` they use.
+    A frailty chain starts from ``initial_state``; a caller's ``init`` sets its
+    ``rates``, ``beta``, ``z`` and ``eta``, each of ``initial_state``'s shape,
+    finite and, but for ``beta``, positive, or a ``ValueError`` names it.  The
+    working times come from the data.  An update failure aborts the chain
+    with the iteration index attached.  A simple chain ignores ``init``: its
+    ``n_iter // thin`` independent draws use one ``TimeGrid.interval_totals``
+    ``(d, R)``, and its ``wall_time_s`` covers the draws, not the ``(d, R)``.
     """
     if not spec.is_frailty:
         d, risk = spec.grid.interval_totals(data.marginal_times, data.event_flags)
         return _conjugate_chain(spec, config, chain_id, d, risk)
-    state = init.copy() if init is not None else initial_state(spec, data)
+    state = initial_state(spec, data)
+    for name in ("rates", "beta", "z", "eta") if init is not None else ():
+        given, shape = getattr(init, name), np.shape(getattr(state, name))
+        value = np.array(given, dtype=float)
+        if value.shape != shape or not np.isfinite(value).all() or not (name == "beta" or (value > 0).all()):
+            kind = "finite" if name == "beta" else "finite and positive"
+            raise ValueError(f"init.{name} must be {kind}, of shape {shape}; got {given!r}")
+        setattr(state, name, value if shape else float(value))
     rng = _ChainSource(chain_rng(config.seed, chain_id))
     kept = config.n_iter // config.thin
     start = time.perf_counter()

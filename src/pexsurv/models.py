@@ -118,9 +118,10 @@ class ParamState:
     """Current parameter values for one chain.
 
     ``times`` holds the working time of every record: observed event times
-    stay fixed, censored entries carry the latest imputed value.  ``z`` and
-    ``beta`` are kept (as ones/zeros) even for the simple family so state
-    shapes never depend on the family.
+    stay fixed, censored entries carry the latest imputed value;
+    ``run_chain`` takes them from ``initial_state``, never from a caller's
+    start.  ``z`` and ``beta`` are kept (as ones/zeros) even for the simple
+    family so state shapes never depend on the family.
     """
 
     rates: np.ndarray

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -203,6 +204,16 @@ def test_summary_mean_is_finite_where_the_pooled_sum_passes_the_largest_double()
     reference = math.fsum(draws * 2.0**-8) / draws.size * 2.0**8
     assert math.isfinite(s.mean)
     assert abs(s.mean - reference) <= math.ulp(reference)
+
+
+def test_subnormal_summary_mean_is_rounded_once():
+    # Scaled to unit size, the mean would be rounded to 53 bits and again onto
+    # the subnormal grid; numpy's mean of the raw draws is rounded once.
+    draws = np.random.default_rng(4).normal(1.0, 0.5, 200) * 2.0**-1023
+    (s,) = summarize([_store(a=draws[:100]), _store(a=draws[100:])])
+    exact = sum(map(Fraction, draws.tolist())) / draws.size
+    assert s.mean == np.mean(draws) == 1.1391881636055804e-308
+    assert abs(Fraction(s.mean) - exact) < abs(Fraction(1.13918816360558e-308) - exact)
 
 
 def test_hpd_bounds_are_draws_where_the_widths_pass_the_largest_double():

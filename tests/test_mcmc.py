@@ -21,7 +21,7 @@ from scipy import integrate, special, stats
 
 from pexsurv import mcmc
 from pexsurv.data import SurvivalDataset, SurvivalRecord, load_kidney
-from pexsurv.distribution import PiecewiseExponential, TimeGrid
+from pexsurv.distribution import PiecewiseExponential, TimeGrid, UnreachableMassError
 from pexsurv.diagnostics import effective_sample_size
 from pexsurv.mcmc import (
     ChainAbortError,
@@ -723,11 +723,16 @@ def test_imputation_beyond_last_cut_is_finite():
 
 
 def test_imputation_zero_tail_aborts_chain():
+    # run_chain refuses a zero rate at the start; the sweep keeps every rate
+    # positive, and the inverse draw still refuses a zero-rate tail on its own.
     data = SurvivalDataset([SurvivalRecord(1, 1, None, 0, 50.0)])
     spec = ModelSpec(FAMILY_GAMMA_CHAIN, GRID4)
     state = initial_state(spec, data)
     state.rates = np.array([1.0, 1.0, 1.0, 0.0])
-    with pytest.raises(Exception, match="zero-rate tail"):
+    cfg = McmcConfig(n_chains=1, burn_in=0, n_iter=10, seed=1)
+    with pytest.raises(ValueError, match=r"init\.rates"):
+        run_chain(spec, data, cfg, init=state)
+    with pytest.raises(UnreachableMassError, match="saturates"):
         mcmc._FitContext(spec, data, True, state).impute(state, np.random.default_rng(2))
 
 
@@ -1139,14 +1144,20 @@ def test_monitored_quantities_present():
     assert np.allclose(k, 1.0 / store.draws["eta"], rtol=1e-12)
 
 
-def test_chain_abort_carries_iteration_index():
+def test_chain_abort_carries_iteration_index(monkeypatch):
     data = SurvivalDataset([SurvivalRecord(1, 1, None, 0, 50.0)])
     spec = ModelSpec(FAMILY_GAMMA_CHAIN, GRID4)
     cfg = McmcConfig(n_chains=1, burn_in=0, n_iter=10, seed=1)
-    bad = initial_state(spec, data)
-    bad.rates = np.array([1.0, 1.0, 1.0, 0.0])  # zero-rate tail: imputation cannot proceed
-    with pytest.raises(ChainAbortError, match="iteration 0"):
-        run_chain(spec, data, cfg, init=bad)
+    real, calls = mcmc._FitContext.sweep, itertools.count()
+
+    def sweep(self, state, rng):
+        if next(calls) == 3:
+            raise FloatingPointError("boom")
+        real(self, state, rng)
+
+    monkeypatch.setattr(mcmc._FitContext, "sweep", sweep)
+    with pytest.raises(ChainAbortError, match="aborted at iteration 3: boom"):
+        run_chain(spec, data, cfg)
 
 
 # -- chain CSV ------------------------------------------------------------------------
@@ -1529,6 +1540,69 @@ def test_user_inits_are_respected():
     cfg = McmcConfig(n_chains=1, burn_in=0, n_iter=1, seed=4)
     run_chain(spec, data, cfg, init=init)
     assert init.rates[0] == 0.111  # caller's state must not be mutated
+
+
+# A malformed start is refused before any sweep, naming its field.
+BAD_STARTS = {
+    "rates-9": ("rates", np.ones(9)),
+    "rates-11": ("rates", np.ones(11)),
+    "rates-nan": ("rates", np.r_[np.ones(9), np.nan]),
+    "rates-negative": ("rates", np.r_[np.ones(9), -1.0]),
+    "beta-3": ("beta", np.zeros(3)),
+    "z-10": ("z", np.ones(10)),
+    "z-50": ("z", np.ones(50)),
+    "z-zero": ("z", np.r_[0.0, np.ones(37)]),
+    "eta-negative": ("eta", -1.0),
+    "eta-nan": ("eta", np.nan),
+}
+
+
+@pytest.mark.parametrize("field, value", BAD_STARTS.values(), ids=BAD_STARTS)
+def test_malformed_start_is_refused_naming_its_field(monkeypatch, field, value):
+    kidney, spec = load_kidney(), ModelSpec(FAMILY_GAMMA_CHAIN, KIDNEY_GRID)
+    init = initial_state(spec, kidney)
+    setattr(init, field, value)
+
+    def no_sweep(*_):
+        raise AssertionError("a malformed start reached the sweep")
+
+    monkeypatch.setattr(mcmc._FitContext, "sweep", no_sweep)
+    with pytest.raises(ValueError, match=rf"^init\.{field} must be"):
+        run_chain(spec, kidney, McmcConfig(n_chains=1, burn_in=0, n_iter=5, seed=1), init=init)
+
+
+def _kidney_draws(family, init_of=None):
+    kidney, spec = load_kidney(), ModelSpec(family, KIDNEY_GRID)
+    init = None if init_of is None else init_of(initial_state(spec, kidney), kidney)
+    store = run_chain(spec, kidney, McmcConfig(n_chains=1, burn_in=20, n_iter=40, seed=1), init=init)
+    return np.array(list(store.draws.values()))
+
+
+def _tripled_event_times(init, data):
+    init.times[data.event_flags] *= 3.0
+    return init
+
+
+def _as_lists(init, data):
+    init.rates, init.beta, init.z = init.rates.tolist(), init.beta.tolist(), init.z.tolist()
+    return init
+
+
+@pytest.mark.parametrize("family", [FAMILY_GAMMA_CHAIN, FAMILY_LOGNORMAL_RW])
+@pytest.mark.parametrize("init_of", [_tripled_event_times, _as_lists], ids=["tripled-event-times", "lists"])
+def test_start_takes_its_working_times_from_the_data_and_any_array_like(family, init_of):
+    # A start moves no event time, so it fits the data given; a list-valued
+    # field is copied as float64 like an array.
+    assert np.array_equal(_kidney_draws(family, init_of), _kidney_draws(family))
+
+
+def test_analytic_fit_context_holds_no_imputation_view():
+    kidney, spec = load_kidney(), ModelSpec(FAMILY_GAMMA_CHAIN, KIDNEY_GRID)
+    views = ("cens_idx", "cuts", "widths", "cens_X", "cens_subj", "bound_overlap", "fixed_d")
+    analytic = mcmc._FitContext(spec, kidney, False, initial_state(spec, kidney))
+    imputing = mcmc._FitContext(spec, kidney, True, initial_state(spec, kidney))
+    assert [v for v in views if hasattr(analytic, v)] == []
+    assert all(hasattr(imputing, v) for v in views)
 
 
 def test_posterior_concentrates_on_true_rates():
