@@ -66,12 +66,10 @@ draws through three entry points: the kernel's ``random()``, handed out of
 blocks of ``_UNIFORM_BLOCK`` doubles, ``uniform(size=)`` and ``standard_gamma``.
 
 The frailty families' rate prior is stated once per chain, as the fit
-context's ``link`` from each log-rate to the next.  A rate whose e^x would
-not be a positive, finite double has density zero: the rate targets, and the
-coefficient and frailty moves that rescale every rate, read -inf there, so
+context's ``link`` from each log-rate to the next.  A rate (or, in the
+frailty rescale, a frailty) whose value would leave the positive, finite
+doubles has density zero: every target that moves it reads -inf there, so
 every rate stays positive from a positive start and imputation checks none.
-The frailty rescale reads -inf, too, where a frailty would leave the
-positive, finite doubles.
 """
 
 from __future__ import annotations
@@ -331,9 +329,8 @@ class _FitContext:
         self.slice_names = self.monitor_names[:-1] + ["frailty_scale"]
         self.slice_widths = [1.0] * len(self.slice_names)
         self.jump_sums = [0.0] * len(self.slice_names)
-        # E and d at the starting state's working times, from one
-        # sufficient_stats call.  No event time and no censoring bound ever
-        # moves, so only impute rewrites them, for the censored records.
+        # E and d at the start's working times, from one sufficient_stats
+        # call; only impute rewrites them, for the censored records.
         stats = sufficient_stats(state, spec, data, augmented=augmented)
         self.overlap, self.d = stats.overlap, stats.d
         if augmented:  # imputation's fixed views; an analytic chain builds none
@@ -635,10 +632,13 @@ def run_chain(
     state = initial_state(spec, data)
     for name in ("rates", "beta", "z", "eta") if init is not None else ():
         given, shape = getattr(init, name), np.shape(getattr(state, name))
-        value = np.array(given, dtype=float)
+        try:
+            value = np.array(given, dtype=float)
+        except (TypeError, ValueError):  # not numbers: refused as NaN is
+            value = np.full(shape, np.nan)
         if value.shape != shape or not np.isfinite(value).all() or not (name == "beta" or (value > 0).all()):
-            kind = "finite" if name == "beta" else "finite and positive"
-            raise ValueError(f"init.{name} must be {kind}, of shape {shape}; got {given!r}")
+            sign = "" if name == "beta" else " and positive"
+            raise ValueError(f"init.{name} must be finite{sign} with shape {shape}; got {given!r}")
         setattr(state, name, value if shape else float(value))
     rng = _ChainSource(chain_rng(config.seed, chain_id))
     kept = config.n_iter // config.thin

@@ -1548,6 +1548,7 @@ BAD_STARTS = {
     "rates-11": ("rates", np.ones(11)),
     "rates-nan": ("rates", np.r_[np.ones(9), np.nan]),
     "rates-negative": ("rates", np.r_[np.ones(9), -1.0]),
+    "rates-text": ("rates", ["1.0"] * 9 + ["one"]),
     "beta-3": ("beta", np.zeros(3)),
     "z-10": ("z", np.ones(10)),
     "z-50": ("z", np.ones(50)),
